@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor import SeededRng
+from .tensor import SeededRng, _require_finite
 
 __all__ = [
     "JointDistribution",
@@ -40,6 +40,7 @@ class JointDistribution:
         p = np.ascontiguousarray(self.probabilities, dtype=float)
         if p.shape != arity:
             raise ValueError(f"table shape {p.shape} does not match arity {arity}")
+        _require_finite(p, "probability table")
         if p.min() < 0.0:
             raise ValueError(f"negative probability {p.min()!r}")
         total = p.sum()

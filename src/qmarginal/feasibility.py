@@ -2,10 +2,14 @@
 
 The states consistent with a set of prescribed marginals form the
 intersection of an affine set (Hermitian, unit trace, matching partial
-traces) with the positive-semidefinite cone. This module decides whether a
-pure state is the *only* point of that intersection by multi-start
-Dykstra-corrected alternating projections, with starting points biased
-along the null space of the marginal-constraint map (the only directions
+traces) with the positive-semidefinite cone. The affine set is written in
+the orthonormal generalized Gell-Mann product-operator basis: the marginal
+on a subset S fixes exactly the coefficients of the operators whose
+support lies inside S, so the affine projection resets those coefficients
+and the remaining operators span the null space of the marginal map.
+This module decides whether a pure state is the *only* point of that
+intersection by multi-start Dykstra-corrected alternating projections,
+with starting points biased along that null space (the only directions
 in which a second consistent state can differ). A run that ends away from
 the reference state is only accepted as a counterexample after an exact
 certification step: the candidate is polished in factorized form
@@ -18,6 +22,7 @@ NON_UNIQUE is constructive.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -32,7 +37,7 @@ from .tensor import (
     haar_random_state,
     herm_to_vec,
     partial_trace_matrix,
-    rank_and_nullspace,
+    product_operators,
     to_density,
     trace_distance,
     trace_norm,
@@ -141,44 +146,49 @@ class ProjectionConfig:
 
 
 class ConstraintOperator:
-    """Matrix form of the marginal-constraint map on Hermitian space.
+    """The marginal-constraint map in orthonormal product-operator coordinates.
 
-    Rows of ``L`` are the real coordinates (see :func:`herm_to_vec`) of the
-    adjoint applied to a coordinate basis of each target space, i.e.
-    ``L @ herm_to_vec(X)`` stacks the coordinates of every constrained
-    partial trace of X plus the total trace. ``b`` holds the target
-    coordinates. A pseudo-inverse of ``L`` gives the orthogonal projection
-    onto the affine set and onto its homogeneous kernel.
+    Fixing the reduced state on a subset S fixes exactly the coefficients of
+    the product operators (see :func:`product_operators`) whose support lies
+    inside S. ``rows`` holds the real coordinates (see :func:`herm_to_vec`)
+    of every such pinned operator over all constrained subsets; the rows are
+    orthonormal, so ``x - (x rows^T - target) rows`` is the orthogonal
+    projection onto the affine set. ``target`` holds the prescribed
+    coefficients: a label pinned by several subsets takes the average of
+    their values weighted by the dimension of each subset's complement
+    (``weights`` holds the sum of those dimensions), which is the
+    least-squares compromise when the targets disagree. Unit trace is the
+    marginal on the empty subset, whose complement is the whole system.
     """
 
     def __init__(self, constraints: MarginalConstraintSet):
         self.constraints = constraints
         dims = constraints.signature.dims
+        t = constraints.signature.total_dim
         self.dims = dims
-        self.total_dim = constraints.signature.total_dim
-        rows: list[np.ndarray] = []
-        rhs: list[np.ndarray] = []
+        self.total_dim = t
+        # label -> [sum of weight * value, sum of weights]. Unit trace is the
+        # marginal on the empty subset: weight T, value 1/sqrt(T).
+        sums = {(0,) * len(dims): [np.sqrt(t), float(t)]}
         for subset, target in constraints.constraints:
-            t_s = int(np.prod([dims[p] for p in subset]))
-            for i in range(t_s * t_s):
-                unit = np.zeros(t_s * t_s)
-                unit[i] = 1.0
-                rows.append(herm_to_vec(_embed(vec_to_herm(unit, t_s), dims, subset)))
-            rhs.append(herm_to_vec(target.matrix))
-        rows.append(herm_to_vec(np.eye(self.total_dim)))
-        rhs.append(np.array([1.0]))
-        self.matrix = np.array(rows)
-        self.target = np.concatenate(rhs)
-        u, s, vt = np.linalg.svd(self.matrix, full_matrices=False)
-        cutoff = max(self.matrix.shape) * np.finfo(float).eps * s[0]
-        r = int(np.sum(s > cutoff))
-        self.rank = r
-        self._pinv = (vt[:r].T / s[:r]) @ u[:, :r].T
+            pinned = list(_labels_within(dims, subset))
+            local = product_operators(target.dims, [[lab[p] for p in subset] for lab in pinned])
+            # Tr(X (B_S x I/sqrt(d_rest))) = Tr(X_S B_S) / sqrt(d_rest)
+            d_rest = t // target.signature.total_dim
+            values = herm_to_vec(local) @ herm_to_vec(target.matrix) / np.sqrt(d_rest)
+            for lab, v in zip(pinned, values):
+                acc = sums.setdefault(lab, [0.0, 0.0])
+                acc[0] += d_rest * v
+                acc[1] += d_rest
+        labels = sorted(sums)
+        self.rows = herm_to_vec(product_operators(dims, labels))
+        self.target = np.array([sums[lab][0] / sums[lab][1] for lab in labels])
+        self.weights = np.array([sums[lab][1] for lab in labels])
 
     # -- projections (vector form used in hot loops, matrix form for the API)
 
     def project_vec(self, x: np.ndarray) -> np.ndarray:
-        return x - (x @ self.matrix.T - self.target) @ self._pinv.T
+        return x - (x @ self.rows.T - self.target) @ self.rows
 
     def project(self, x_mat: np.ndarray) -> np.ndarray:
         return vec_to_herm(self.project_vec(herm_to_vec(x_mat)), self.total_dim)
@@ -186,15 +196,8 @@ class ConstraintOperator:
     def project_kernel(self, g_mat: np.ndarray) -> np.ndarray:
         """Orthogonal projection onto the homogeneous kernel of the map."""
         g = herm_to_vec(g_mat)
-        g = g - (g @ self.matrix.T) @ self._pinv.T
+        g = g - (g @ self.rows.T) @ self.rows
         return vec_to_herm(g, self.total_dim)
-
-    def kernel_dim(self) -> int:
-        return self.total_dim ** 2 - self.rank
-
-    def residual(self, x_mat: np.ndarray) -> float:
-        """Euclidean constraint violation ``||L x - b||`` (includes trace row)."""
-        return float(np.linalg.norm(self.matrix @ herm_to_vec(x_mat) - self.target))
 
     def marginal_residual(self, x_mat: np.ndarray) -> float:
         """Max Frobenius distance of constrained partial traces from targets."""
@@ -205,19 +208,10 @@ class ConstraintOperator:
         return worst
 
 
-def _embed(z: np.ndarray, dims: Sequence[int], subset: Sequence[int]) -> np.ndarray:
-    """Adjoint of the partial trace: Z on ``subset`` -> Z (x) identity."""
-    n = len(dims)
-    subset = sorted(subset)
-    d_s = [dims[p] for p in subset]
-    args: list = [z.reshape(tuple(d_s) * 2),
-                  [p for p in subset] + [n + p for p in subset]]
-    for p in range(n):
-        if p not in subset:
-            args.extend([np.eye(dims[p]), [p, n + p]])
-    out = list(range(2 * n))
-    total = int(np.prod(dims))
-    return np.einsum(*args, out).reshape(total, total)
+def _labels_within(dims: Sequence[int], subset: Sequence[int]):
+    """Product-operator labels whose support lies inside ``subset``."""
+    return itertools.product(*(range(d * d) if p in subset else (0,)
+                               for p, d in enumerate(dims)))
 
 
 def constraint_nullspace(signature: PartySignature,
@@ -227,30 +221,23 @@ def constraint_nullspace(signature: PartySignature,
 
     Returns a stack of shape ``(k, T, T)``; orthonormality is in the
     Hilbert-Schmidt inner product. Any two states consistent with the same
-    marginals differ by an element of this space. The dimension equals the
-    number of product-basis terms whose support is not contained in any
-    constrained subset.
+    marginals differ by an element of this space. Its basis is the product
+    operators whose support is not contained in any constrained subset.
     """
-    # Placeholder targets: only the homogeneous part (the matrix L) matters.
-    placeholders = []
+    dims = signature.dims
+    pinned = {(0,) * len(dims)}
     for subset in subsets:
-        sub_sig = signature.subsystem(subset)
-        placeholders.append((subset, DensityMatrix(
-            sub_sig, np.eye(sub_sig.total_dim, dtype=complex) / sub_sig.total_dim)))
-    op = ConstraintOperator(MarginalConstraintSet(signature, placeholders))
-    _, null_basis = rank_and_nullspace(op.matrix)
-    # Columns of the (real) null basis are HS-orthonormal Hermitian matrices.
-    return np.stack([vec_to_herm(np.real(null_basis[:, i]), op.total_dim)
-                     for i in range(null_basis.shape[1])]) if null_basis.shape[1] else \
-        np.zeros((0, op.total_dim, op.total_dim), dtype=complex)
+        pinned.update(_labels_within(dims, _subset_key(subset)))
+    free = [lab for lab in _labels_within(dims, range(len(dims))) if lab not in pinned]
+    return product_operators(dims, free)
 
 
 def project_affine(x_mat: np.ndarray, constraints: MarginalConstraintSet) -> np.ndarray:
     """Hilbert-Schmidt-orthogonal projection onto the affine constraint set.
 
     For an inconsistent (empty) constraint set this is the least-squares
-    analogue; inspect ``ConstraintOperator.residual`` of the output to
-    detect that case.
+    analogue; inspect ``ConstraintOperator.marginal_residual`` of the output
+    to detect that case.
     """
     return ConstraintOperator(constraints).project(np.asarray(x_mat, dtype=complex))
 
@@ -366,8 +353,11 @@ def _gauss_newton_polish(candidate: np.ndarray, op: ConstraintOperator,
                          rank: int, max_iter: int = 30):
     """Fit ``W = A A^+`` of the given rank to the affine constraints.
 
-    Gauss-Newton with backtracking on the residual ``||L vec(W) - b||``;
-    the outcome is PSD by construction, so only the affine residual needs
+    Gauss-Newton with backtracking on the residual
+    ``||sqrt(w) (Q vec(W) - c)||`` (``Q = op.rows``, ``c = op.target``,
+    ``w = op.weights``), which is the root sum of squares of every
+    constrained partial trace's Frobenius error and of the trace error.
+    The outcome is PSD by construction, so only the affine residual needs
     verification. Returns ``(W, residual)``.
     """
     t = candidate.shape[0]
@@ -376,39 +366,34 @@ def _gauss_newton_polish(candidate: np.ndarray, op: ConstraintOperator,
     order = np.argsort(vals)[::-1]
     vals = np.maximum(vals[order][:rank], 0.0)
     a = vecs[:, order[:rank]] * np.sqrt(np.maximum(vals, 1e-30))
-    l_mat, b = op.matrix, op.target
+    sqrt_w = np.sqrt(op.weights)
+    q, c = op.rows * sqrt_w[:, None], op.target * sqrt_w
+    ops = vec_to_herm(q, t)
     best_a, best_res = a, np.inf
     for _ in range(max_iter):
         w = a @ a.conj().T
-        f = l_mat @ herm_to_vec(w) - b
+        f = q @ herm_to_vec(w) - c
         res = float(np.linalg.norm(f))
         if res < best_res:
             best_a, best_res = a.copy(), res
         if res < 1e-14:
             break
-        cols = []
-        for j in range(rank):
-            for i in range(t):
-                e = np.zeros((t, rank), dtype=complex)
-                e[i, j] = 1.0
-                m = e @ a.conj().T
-                cols.append(l_mat @ herm_to_vec(m + m.conj().T))
-                e[i, j] = 1j
-                m = e @ a.conj().T
-                cols.append(l_mat @ herm_to_vec(m + m.conj().T))
-        jac = np.array(cols).T
+        # Row k, direction E = e_i e_j^T (or i times it): the change of
+        # Tr(Q_k (E A^+ + A E^+)) is 2 Re (or -2 Im) of (A^+ Q_k)[j, i].
+        g = a.conj().T @ ops
+        jac = 2 * np.stack([g.real, -g.imag], axis=-1).reshape(len(q), -1)
         step, *_ = np.linalg.lstsq(jac, -f, rcond=None)
         da = (step[0::2] + 1j * step[1::2]).reshape(rank, t).T
         scale = 1.0
         for _ in range(20):
             a_try = a + scale * da
             w_try = a_try @ a_try.conj().T
-            if float(np.linalg.norm(l_mat @ herm_to_vec(w_try) - b)) < res:
+            if float(np.linalg.norm(q @ herm_to_vec(w_try) - c)) < res:
                 break
             scale /= 2
         a = a + scale * da
     w = best_a @ best_a.conj().T
-    return w, float(np.linalg.norm(l_mat @ herm_to_vec(w) - b))
+    return w, float(np.linalg.norm(q @ herm_to_vec(w) - c))
 
 
 def _certify(candidate: np.ndarray, op: ConstraintOperator):

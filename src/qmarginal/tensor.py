@@ -1,6 +1,6 @@
 """Dense complex linear algebra substrate: multi-party pure states, density
-matrices, partial traces, Bloch (generalized Gell-Mann) coefficient tables,
-Haar sampling, Hermitian eigendecomposition and SVD rank/null-space tools.
+matrices, partial traces, the orthonormal generalized Gell-Mann
+product-operator basis, Haar sampling and SVD rank/null-space tools.
 
 Conventions fixed here and relied on by every other module:
 
@@ -14,10 +14,9 @@ Conventions fixed here and relied on by every other module:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -26,16 +25,13 @@ __all__ = [
     "SeededRng",
     "AmplitudeTensor",
     "DensityMatrix",
-    "BlochTable",
     "haar_random_state",
     "to_density",
     "partial_trace",
     "partial_trace_matrix",
     "coarse_grain",
     "gell_mann_basis",
-    "bloch_decompose",
-    "bloch_reconstruct",
-    "hermitian_eigen",
+    "product_operators",
     "rank_and_nullspace",
     "trace_distance",
     "trace_norm",
@@ -54,6 +50,15 @@ _SQRT2 = np.sqrt(2.0)
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def _require_finite(arr: np.ndarray, what: str) -> None:
+    """Reject NaN and infinite entries, which every tolerance check lets pass."""
+    bad = np.argwhere(~np.isfinite(arr))
+    if bad.size:
+        first = tuple(int(i) for i in bad[0])
+        raise ValueError(f"{what} has {len(bad)} non-finite value(s), "
+                         f"first {arr[first]} at index {first}")
 
 
 @dataclass(frozen=True)
@@ -124,6 +129,7 @@ class AmplitudeTensor:
             raise ValueError(
                 f"amplitude shape {amps.shape} does not match signature {self.signature.dims}"
             )
+        _require_finite(amps, "amplitude tensor")
         norm = np.linalg.norm(amps)
         if abs(norm - 1.0) > NORM_ATOL:
             raise ValueError(f"state norm {norm!r} is not 1 within {NORM_ATOL}")
@@ -151,6 +157,7 @@ class DensityMatrix:
         t = self.signature.total_dim
         if mat.shape != (t, t):
             raise ValueError(f"matrix shape {mat.shape} does not match total dimension {t}")
+        _require_finite(mat, "density matrix")
         herm_err = np.abs(mat - mat.conj().T).max()
         if herm_err > HERMITICITY_ATOL:
             raise ValueError(f"matrix is not Hermitian (max deviation {herm_err:.3e})")
@@ -243,7 +250,7 @@ def coarse_grain(state: AmplitudeTensor, group_sizes: Sequence[int]) -> Amplitud
 
 
 # ---------------------------------------------------------------------------
-# Bloch (generalized Gell-Mann) decomposition
+# Generalized Gell-Mann product-operator basis
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -279,105 +286,32 @@ def gell_mann_basis(d: int) -> np.ndarray:
     return _freeze(np.stack(mats))
 
 
-@dataclass(frozen=True)
-class BlochTable:
-    """Real coefficients of a density matrix over tensor products of the
-    single-party basis from :func:`gell_mann_basis`.
+def product_operators(dims: Sequence[int],
+                      labels: Sequence[Sequence[int]]) -> np.ndarray:
+    """Hilbert-Schmidt-orthonormal product operators, one per label tuple.
 
-    Keys are per-party label tuples; label 0 is the identity slot. The
-    normalization is ``rho = d^{-n} * sum_t c_t B_{t_1} x ... x B_{t_n}``,
-    so the all-identity coefficient is always 1.
+    Label tuple ``(l_1, ..., l_n)`` maps to the Kronecker product over
+    parties of ``gell_mann_basis(d_p)[l_p]`` scaled to unit Hilbert-Schmidt
+    norm (identity by ``1/sqrt(d_p)``, the rest by ``1/sqrt(2)``). Local
+    dimensions may differ. Returns a stack of shape ``(len(labels), T, T)``;
+    over all labels it is an orthonormal basis of the Hermitian matrices.
     """
-
-    signature: PartySignature
-    coefficients: Mapping[tuple[int, ...], float]
-
-    def __post_init__(self):
-        if not self.signature.is_uniform():
-            raise ValueError("Bloch tables require all local dimensions equal")
-        ident = (0,) * self.signature.n_parties
-        c0 = self.coefficients.get(ident)
-        if c0 is None or abs(c0 - 1.0) > 1e-10:
-            raise ValueError("all-identity coefficient must be 1")
-
-    def nonzero(self, tol: float = 1e-10) -> dict[tuple[int, ...], float]:
-        """Coefficients with magnitude above ``tol``, identity slot excluded."""
-        ident = (0,) * self.signature.n_parties
-        return {
-            t: c for t, c in sorted(self.coefficients.items())
-            if t != ident and abs(c) > tol
-        }
-
-
-def bloch_decompose(rho: DensityMatrix) -> BlochTable:
-    """Expand a density matrix over the generalized Gell-Mann product basis.
-
-    All local dimensions must be equal. Coefficients are real up to
-    Hermiticity rounding; the imaginary parts are discarded after a
-    magnitude check.
-    """
-    sig = rho.signature
-    if not sig.is_uniform():
-        raise ValueError("bloch_decompose requires all local dimensions equal")
-    d = sig.dims[0]
-    n = sig.n_parties
-    basis = gell_mann_basis(d)
-    # traces[t_1..t_n] = Tr(rho * B_{t_1} x ... x B_{t_n})
-    #                  = sum_{r,c} rho[r, c] * prod_p basis[t_p, c_p, r_p]
-    args: list = [rho.matrix.reshape(sig.dims * 2), list(range(2 * n))]
-    for p in range(n):
-        args.extend([basis, [2 * n + p, n + p, p]])
-    traces = np.einsum(*args, list(range(2 * n, 3 * n)), optimize=True)
-    coeffs = {}
-    scale = d / 2.0
-    for labels in itertools.product(range(d * d), repeat=n):
-        support = sum(1 for x in labels if x != 0)
-        val = traces[labels] * scale ** support
-        if abs(val.imag) > 1e-9:
-            raise ValueError(f"non-real Bloch coefficient at {labels}: {val!r}")
-        coeffs[labels] = float(val.real)
-    return BlochTable(sig, coeffs)
-
-
-def bloch_reconstruct(table: BlochTable) -> DensityMatrix:
-    """Rebuild the density matrix from its Bloch coefficient table."""
-    sig = table.signature
-    d = sig.dims[0]
-    n = sig.n_parties
-    basis = gell_mann_basis(d)
-    total = sig.total_dim
-    acc = np.zeros((total, total), dtype=complex)
-    for labels, c in table.coefficients.items():
-        if c == 0.0:
-            continue
-        op = basis[labels[0]]
-        for b in labels[1:]:
-            op = np.kron(op, basis[b])
-        acc += c * op
-    acc /= float(d ** n)
-    return DensityMatrix(sig, acc)
+    dims = tuple(int(d) for d in dims)
+    labels = np.asarray(labels, dtype=int).reshape(-1, len(dims))
+    out = np.ones((len(labels), 1, 1), dtype=complex)
+    for p, d in enumerate(dims):
+        scale = np.full(d * d, 1 / _SQRT2)
+        scale[0] = 1 / np.sqrt(d)
+        local = (gell_mann_basis(d) * scale[:, None, None])[labels[:, p]]
+        t = out.shape[-1]
+        out = (out[:, :, None, :, None] * local[:, None, :, None, :]).reshape(
+            len(labels), t * d, t * d)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Eigen / SVD utilities
 # ---------------------------------------------------------------------------
-
-def hermitian_eigen(matrix: np.ndarray, herm_atol: float = HERMITICITY_ATOL):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
-    eigenvectors as unitary columns. Raises if the input deviates from
-    Hermiticity by more than ``herm_atol``.
-    """
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    dev = np.abs(m - m.conj().T).max()
-    if dev > herm_atol:
-        raise ValueError(f"matrix is not Hermitian within {herm_atol} (deviation {dev:.3e})")
-    vals, vecs = np.linalg.eigh((m + m.conj().T) / 2)
-    return vals, vecs
-
 
 def rank_and_nullspace(matrix: np.ndarray, tol: float | None = None,
                        rtol: float | None = None):

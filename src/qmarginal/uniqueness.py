@@ -105,13 +105,6 @@ class ConsistencyMatrix:
             return p * p + a * n + b
         raise ValueError(f"unknown kind {kind!r}")
 
-    @property
-    def column_index(self) -> dict[tuple[str, int, int], int]:
-        p, n = self.shape.P, self.shape.N
-        idx = {("e", l, k): l * p + k for l in range(p) for k in range(p)}
-        idx.update({("f", r, j): p * p + r * n + j for r in range(n) for j in range(n)})
-        return idx
-
 
 @dataclass(frozen=True)
 class UniquenessVerdict:

@@ -27,6 +27,11 @@ class TestJointDistribution:
         with pytest.raises(ValueError, match=">= 2"):
             JointDistribution((1, 2), np.full((1, 2), 0.5))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            JointDistribution((2,), np.array([bad, 0.5]))
+
     def test_random_strictly_positive(self):
         p = JointDistribution.random(3, 2, SeededRng(4))
         assert p.probabilities.min() > 0

@@ -227,6 +227,16 @@ class TestUsage:
         code, _ = run(["frobnicate"], capsys)
         assert code == EXIT_USAGE
 
+    def test_nan_state_names_the_problem(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({"schema": "qmarginal/state-v1", "dims": [2, 2, 2],
+                                    "amplitudes": [[float("nan"), 0.0]] + [[0.0, 0.0]] * 7}))
+        for mode in ("oracle", "linear"):
+            code = main(["check", "--state", str(path), "--mode", mode,
+                         "--subsets", "01,02,12"])
+            assert code == EXIT_USAGE
+            assert "non-finite" in capsys.readouterr().err
+
     def test_missing_state_file(self, capsys):
         code, _ = run(["check", "--state", "/nonexistent/state.json",
                        "--mode", "oracle", "--subsets", "01"], capsys)

@@ -73,6 +73,11 @@ class TestConstraintNullspace:
         basis = constraint_nullspace(PartySignature(dims), subsets)
         expected = bloch_kernel_count(len(dims), dims[0], subsets)
         assert basis.shape[0] == expected
+        # The pinned rows are the rest of an orthonormal basis.
+        op = ConstraintOperator(MarginalConstraintSet.from_state(haar(dims, 45), subsets))
+        t = int(np.prod(dims))
+        assert op.rows.shape == (t * t - expected, t * t)
+        assert np.abs(op.rows @ op.rows.T - np.eye(len(op.rows))).max() < 1e-13
 
     def test_basis_elements_traceless_orthonormal_zero_marginals(self):
         sig = PartySignature([2, 2, 2])
@@ -102,14 +107,21 @@ class TestProjectAffine:
         twice = project_affine(once, cs)
         assert np.abs(once - twice).max() < 1e-12
 
-    def test_min_norm_solution_matches_pseudoinverse_oracle(self, np_rng):
+    @pytest.mark.parametrize("pinned", [
+        [((0,), 42), ((1,), 42)],
+        [((0,), 42), ((0, 1), 142)],
+    ], ids=["consistent", "inconsistent"])
+    def test_min_norm_solution_matches_pseudoinverse_oracle(self, pinned):
         # Independent oracle at 2 qubits: build the constraint map explicitly
         # over a hand-rolled Hermitian basis with loop-based partial traces,
-        # then take the pseudo-inverse solution from the zero matrix.
-        state = haar([2, 2], 42)
-        subsets = [(0,), (1,)]
-        cs = MarginalConstraintSet.from_state(state, subsets)
-        rho = to_density(state).matrix
+        # then take the pseudo-inverse solution from the zero matrix. Targets
+        # taken from two different states have no common solution; the
+        # oracle is then the least-squares point.
+        sig = PartySignature([2, 2])
+        targets = {s: slow_partial_trace(to_density(haar([2, 2], seed)).matrix, (2, 2), s)
+                   for s, seed in pinned}
+        cs = MarginalConstraintSet(sig, [(s, DensityMatrix(sig.subsystem(s), m))
+                                         for s, m in targets.items()])
 
         basis = []
         for i in range(4):
@@ -128,15 +140,14 @@ class TestProjectAffine:
 
         rows = []
         rhs = []
-        targets = {s: slow_partial_trace(rho, (2, 2), s) for s in subsets}
-        for subset in subsets:
-            for a in range(2):
-                for b in range(2):
+        for subset, target in targets.items():
+            for a in range(len(target)):
+                for b in range(len(target)):
                     row = [slow_partial_trace(m, (2, 2), subset)[a, b] for m in basis]
                     rows.append([x.real for x in row])
-                    rhs.append(targets[subset][a, b].real)
+                    rhs.append(target[a, b].real)
                     rows.append([x.imag for x in row])
-                    rhs.append(targets[subset][a, b].imag)
+                    rhs.append(target[a, b].imag)
         rows.append([np.trace(m).real for m in basis])
         rhs.append(1.0)
         coeffs = np.linalg.pinv(np.array(rows)) @ np.array(rhs)

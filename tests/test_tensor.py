@@ -8,15 +8,13 @@ from qmarginal.tensor import (
     DensityMatrix,
     PartySignature,
     SeededRng,
-    bloch_decompose,
-    bloch_reconstruct,
     coarse_grain,
     gell_mann_basis,
     haar_random_state,
     herm_to_vec,
-    hermitian_eigen,
     partial_trace,
     partial_trace_matrix,
+    product_operators,
     rank_and_nullspace,
     to_density,
     trace_distance,
@@ -180,16 +178,32 @@ class TestGellMannBasis:
                 assert abs(np.trace(basis[i] @ basis[j]) - expect) < 1e-13
 
 
+def all_labels(dims):
+    return list(itertools.product(*(range(d * d) for d in dims)))
+
+
+def expand(rho, dims):
+    """Coefficients Tr(rho P_l) over every product operator P_l, and the stack."""
+    ops = product_operators(dims, all_labels(dims))
+    return herm_to_vec(ops) @ herm_to_vec(rho), ops
+
+
 class TestBloch:
+    """The state expanded over the orthonormal product-operator basis.
+
+    For qubits each product operator is a Pauli product scaled by
+    ``2**(-n/2)``, so ``2**(n/2)`` times a coefficient is the Bloch
+    coefficient ``Tr(rho sigma_l1 x ... x sigma_ln)``.
+    """
+
     def test_maximally_mixed_three_qubits(self):
-        rho = DensityMatrix(PartySignature([2, 2, 2]), np.eye(8, dtype=complex) / 8)
-        table = bloch_decompose(rho)
-        assert table.nonzero(tol=1e-12) == {}
+        coeffs, _ = expand(np.eye(8, dtype=complex) / 8, (2, 2, 2))
+        assert coeffs[0] == pytest.approx(8 ** -0.5)
+        assert np.abs(coeffs[1:]).max() < 1e-12
 
     def test_single_qubit_z(self):
-        rho = DensityMatrix(PartySignature([2]), np.diag([1.0, 0.0]).astype(complex))
-        table = bloch_decompose(rho)
-        assert table.nonzero() == {(3,): pytest.approx(1.0)}
+        coeffs, _ = expand(np.diag([1.0, 0.0]).astype(complex), (2,))
+        assert np.sqrt(2) * coeffs == pytest.approx([1.0, 0.0, 0.0, 1.0])
 
     def test_ghz_seven_terms_match_trace_oracle(self):
         # Oracle: direct trace inner products against explicit Pauli products.
@@ -205,63 +219,42 @@ class TestBloch:
             (1, 1, 1): 1.0, (1, 2, 2): -1.0, (2, 1, 2): -1.0, (2, 2, 1): -1.0,
         }
         assert {t: round(v, 9) for t, v in oracle.items()} == expected
-        table = bloch_decompose(rho)
-        got = table.nonzero()
+        coeffs, _ = expand(rho.matrix, (2, 2, 2))
+        got = {labels: c * 2 ** 1.5 for labels, c in zip(all_labels((2, 2, 2)), coeffs)
+               if labels != (0, 0, 0) and abs(c) > 1e-10}
         assert set(got) == set(expected)
         for labels, value in expected.items():
             assert got[labels] == pytest.approx(value, abs=1e-10)
 
     def test_roundtrip_qutrit_pair(self):
-        state = haar_random_state(PartySignature([3, 3]), SeededRng(31))
-        rho = to_density(state)
-        rebuilt = bloch_reconstruct(bloch_decompose(rho))
-        assert np.abs(rebuilt.matrix - rho.matrix).max() < 1e-10
+        rho = to_density(haar_random_state(PartySignature([3, 3]), SeededRng(31))).matrix
+        coeffs, ops = expand(rho, (3, 3))
+        assert np.abs(np.tensordot(coeffs, ops, axes=1) - rho).max() < 1e-10
 
     def test_roundtrip_random_mixed_density(self, np_rng):
-        rho = DensityMatrix(PartySignature([2, 2, 2]), random_density(np_rng, 8))
-        rebuilt = bloch_reconstruct(bloch_decompose(rho))
-        assert np.abs(rebuilt.matrix - rho.matrix).max() < 1e-10
+        rho = random_density(np_rng, 8)
+        coeffs, ops = expand(rho, (2, 2, 2))
+        assert np.abs(np.tensordot(coeffs, ops, axes=1) - rho).max() < 1e-10
 
-    def test_mixed_dims_rejected(self, np_rng):
-        rho_a = random_density(np_rng, 2)
-        rho_b = random_density(np_rng, 3)
-        joint = DensityMatrix(PartySignature([2, 3]), np.kron(rho_a, rho_b))
-        with pytest.raises(ValueError, match="equal"):
-            bloch_decompose(joint)
+    def test_roundtrip_mixed_dims(self, np_rng):
+        rho = random_density(np_rng, 16)
+        coeffs, ops = expand(rho, (4, 2, 2))
+        assert np.abs(np.tensordot(coeffs, ops, axes=1) - rho).max() < 1e-10
 
+    @pytest.mark.parametrize("dims", [(2,), (3, 3), (2, 3), (4, 2, 2)])
+    def test_orthonormal_hermitian_basis(self, dims):
+        ops = product_operators(dims, all_labels(dims))
+        t = int(np.prod(dims))
+        assert ops.shape == (t * t, t, t)
+        assert np.abs(ops - np.swapaxes(ops.conj(), 1, 2)).max() < 1e-14
+        gram = np.einsum("kij,lji->kl", ops, ops)
+        assert np.abs(gram - np.eye(t * t)).max() < 1e-13
 
-class TestHermitianEigen:
-    def test_identity(self):
-        vals, vecs = hermitian_eigen(np.eye(4))
-        assert np.allclose(vals, np.ones(4))
-        assert np.allclose(vecs @ vecs.conj().T, np.eye(4))
-
-    def test_diagonal_permutation(self):
-        vals, _ = hermitian_eigen(np.diag([3.0, 1.0, 2.0]))
-        assert np.allclose(vals, [1.0, 2.0, 3.0])
-
-    def test_matches_characteristic_polynomial_roots(self, np_rng):
-        # Independent oracle: coefficients from power-sum traces via Newton's
-        # identities, roots from the companion matrix (np.roots).
-        for _ in range(10):
-            h = random_hermitian(np_rng, 4)
-            powers = [np.trace(np.linalg.matrix_power(h, k)).real for k in range(1, 5)]
-            e = [1.0]
-            for k in range(1, 5):
-                acc = 0.0
-                for i in range(1, k + 1):
-                    acc += (-1) ** (i - 1) * e[k - i] * powers[i - 1]
-                e.append(acc / k)
-            coeffs = [1.0, -e[1], e[2], -e[3], e[4]]
-            roots = np.sort(np.roots(coeffs).real)
-            vals, vecs = hermitian_eigen(h)
-            assert np.allclose(vals, roots, atol=1e-8)
-            assert np.abs((vecs * vals) @ vecs.conj().T - h).max() < 1e-10
-
-    def test_non_hermitian_rejected(self):
-        bad = np.array([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(ValueError, match="not Hermitian"):
-            hermitian_eigen(bad)
+    def test_qubit_operators_are_scaled_pauli_products(self):
+        labels = [(0, 0), (3, 0), (1, 2), (2, 3)]
+        ops = product_operators((2, 2), labels)
+        for op, lab in zip(ops, labels):
+            assert np.abs(op - kron_all([PAULI[l] for l in lab]) / 2).max() < 1e-15
 
 
 class TestRankAndNullspace:
@@ -328,6 +321,18 @@ class TestStateAndDensityValidation:
     def test_wrong_trace_rejected(self):
         with pytest.raises(ValueError, match="trace"):
             DensityMatrix(PartySignature([2]), np.eye(2, dtype=complex))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_amplitudes_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            AmplitudeTensor.from_vector([bad, 0.0], [2])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_density_rejected(self, bad):
+        mat = np.diag([1.0, 0.0]).astype(complex)
+        mat[0, 1] = mat[1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix(PartySignature([2]), mat)
 
     def test_negative_eigenvalue_rejected(self):
         mat = np.diag([1.5, -0.5]).astype(complex)
