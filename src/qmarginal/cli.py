@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import json
 import sys
 import time
@@ -22,13 +21,13 @@ import time
 import numpy as np
 
 from . import bounds as bounds_mod
+from . import claims
 from . import classical as classical_mod
 from .feasibility import (
     INCONCLUSIVE,
     NON_UNIQUE,
     UNIQUE,
     ProjectionConfig,
-    constraint_nullspace,
     genericity_survey,
     uniqueness_probe,
 )
@@ -38,14 +37,10 @@ from .tensor import (
     SeededRng,
     coarse_grain,
     haar_random_state,
-    partial_trace_matrix,
-    to_density,
 )
 from .uniqueness import (
     UNIQUE_LINEAR,
-    build_consistency_matrix,
     check_linear_uniqueness,
-    identity_pattern_vector,
     party_split,
 )
 
@@ -162,11 +157,11 @@ def _report(command: str, config: dict, results: dict, started: float) -> dict:
     }
 
 
-def _projection_config(args, seed: int) -> ProjectionConfig:
+def _projection_config(args) -> ProjectionConfig:
     return ProjectionConfig(
         max_iterations=args.max_iter,
         convergence_tol=args.tol_converge,
-        seed=seed,
+        seed=args.seed,
     )
 
 
@@ -174,18 +169,10 @@ def _load_state(args) -> AmplitudeTensor:
     if args.state:
         with open(args.state) as fh:
             return state_from_json(fh.read())
-    if args.n is None or args.d is None or args.seed is None:
-        raise UsageError("need --state or all of --n/--d/--seed")
+    if args.n is None or args.d is None:
+        raise UsageError("need --state or both --n and --d")
     sig = PartySignature([args.d] * args.n)
     return haar_random_state(sig, SeededRng(args.seed))
-
-
-def _ghz_state(n: int, a: float = None) -> AmplitudeTensor:
-    amp = 1 / np.sqrt(2) if a is None else a
-    vec = np.zeros(2 ** n, dtype=complex)
-    vec[0] = amp
-    vec[-1] = np.sqrt(1 - abs(amp) ** 2)
-    return AmplitudeTensor.from_vector(vec, [2] * n)
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +180,8 @@ def _ghz_state(n: int, a: float = None) -> AmplitudeTensor:
 # ---------------------------------------------------------------------------
 
 def cmd_sample(args) -> int:
-    if args.n is None or args.d is None or args.seed is None:
-        raise UsageError("sample needs --n, --d and --seed")
+    if args.n is None or args.d is None:
+        raise UsageError("sample needs --n and --d")
     sig = PartySignature([args.d] * args.n)
     state = haar_random_state(sig, SeededRng(args.seed))
     text = state_to_json(state)
@@ -242,7 +229,7 @@ def cmd_check(args) -> int:
         if not args.subsets:
             raise UsageError("mode=oracle needs --subsets")
         subsets = _parse_subsets(args.subsets, state.signature.n_parties)
-        config = _projection_config(args, args.seed if args.seed is not None else 0)
+        config = _projection_config(args)
         verdict = uniqueness_probe(state, subsets, config)
         oracle = {
             "subsets": [list(s) for s in subsets],
@@ -277,11 +264,9 @@ def cmd_check(args) -> int:
 
 def cmd_survey(args) -> int:
     started = time.perf_counter()
-    if args.trials < 1:
-        raise UsageError("--trials must be >= 1")
     sig = PartySignature([args.d] * args.n)
     subsets = _parse_subsets(args.subsets, args.n)
-    config = _projection_config(args, args.seed)
+    config = _projection_config(args)
     stats = genericity_survey(sig, subsets, args.trials, config)
     results = {
         "n": args.n, "d": args.d,
@@ -354,17 +339,9 @@ def cmd_classical(args) -> int:
         results = {"rejected": True, "max_admissible_epsilon": exc.max_admissible}
         _emit(_report("classical", config_echo, results, started), args.format, args.out)
         return EXIT_NEGATIVE
-    worst = 0.0
-    n = args.n
-    for keep in itertools.combinations(range(n), n - 1) if n > 1 else [(0,)]:
-        mp = classical_mod.classical_marginal(p, keep).probabilities
-        mq = classical_mod.classical_marginal(q, keep).probabilities
-        worst = max(worst, float(np.abs(mp - mq).max()))
     results = {
         "rejected": False,
-        "max_marginal_difference": worst,
-        "l1_distance": float(np.abs(p.probabilities - q.probabilities).sum()),
-        "deviation_l1": float(np.abs(classical_mod.alternating_deviation(n, args.d)).sum()),
+        **claims.pair_statistics(p, q),
         "p": p.probabilities.reshape(-1).tolist(),
         "q": q.probabilities.reshape(-1).tolist(),
     }
@@ -373,176 +350,68 @@ def cmd_classical(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    """End-to-end pipeline touching every in-scope claim at desk scale."""
+    """End-to-end pipeline touching every in-scope claim at desk scale.
+
+    Every check is a :mod:`qmarginal.claims` definition, run here at the
+    report's own substreams of ``--seed`` and sizes derived from
+    ``--trials``; the sections report the numbers each was decided on.
+    """
     started = time.perf_counter()
     seed = args.seed
     trials = args.trials
     sections: dict = {}
     section_times: dict = {}
     checks: dict = {}
+    lap = started
 
-    def tick(name, fn):
-        t0 = time.perf_counter()
-        sections[name] = fn()
-        section_times[name] = time.perf_counter() - t0
+    def check(claim, **params) -> dict:
+        ok, values = claim(**params)
+        checks[claim.__name__] = bool(ok)
+        return values
 
-    # Counting bounds: lower-bound roots for d = 2..10 plus the qubit window.
-    def bounds_section():
-        alphas = [bounds_mod.solve_alpha_lower(d) for d in range(2, 11)]
-        rows = bounds_mod.bounds_rows(3, 2)
-        checks["alpha_qubit_in_window"] = bool(0.1885 <= alphas[0].alpha <= 0.1895
-                                               and alphas[0].residual < 1e-12)
-        checks["alpha_monotone_d_2_10"] = bool(
-            all(b.alpha >= a.alpha for a, b in zip(alphas, alphas[1:])))
-        checks["counting_identity"] = all(
-            bounds_mod.count_reduced_params(n, n, d) + 1 == d ** (2 * n)
-            for n in range(1, 21) for d in range(2, 6))
-        checks["finite_n_comparison"] = (
-            rows[0].reduced_param_count == 9 and not rows[0].sufficient_by_count
-            and rows[1].reduced_param_count == 36 and rows[1].sufficient_by_count
-            and rows[1].pure_param_count == 14)
-        return {
-            "alpha_lower": [{"d": s.d, "alpha": s.alpha, "residual": s.residual}
-                            for s in alphas],
-            "alpha_upper": [
-                {"m": r["m"], "fraction": str(r["fraction"])}
-                for r in bounds_mod.alpha_upper_table(5)
-            ],
-            "counting_rows": [
-                {"n": r.n, "d": r.d, "k": r.k,
-                 "reduced": str(r.reduced_param_count), "pure": str(r.pure_param_count),
-                 "sufficient": r.sufficient_by_count}
-                for r in bounds_mod.bounds_rows(3, 2, k_max=3)
-            ],
-        }
-    tick("bounds", bounds_section)
+    def section(name: str, values: dict, *keys: str) -> None:
+        nonlocal lap
+        sections[name] = {key: values[key] for key in keys} if keys else values
+        now = time.perf_counter()
+        section_times[name] = now - lap
+        lap = now
 
-    def upper_fraction_section():
-        rows = bounds_mod.alpha_upper_table(5)
-        fracs = [r["fraction"] for r in rows if r["m"] is not None]
-        checks["upper_fractions_decrease_to_two_thirds"] = bool(
-            all(a > b for a, b in zip(fracs, fracs[1:]))
-            and all(f > bounds_mod.Fraction(2, 3) for f in fracs)
-            and rows[-1]["fraction"] == bounds_mod.Fraction(2, 3))
-        return {"fractions": [str(f) for f in fracs]}
-    tick("alpha_upper", upper_fraction_section)
+    check(claims.alpha_qubit_in_window)
+    alphas = check(claims.alpha_monotone_d_2_10)["solutions"]
+    check(claims.counting_identity)
+    rows = check(claims.finite_n_comparison)["rows"]
+    upper = check(claims.upper_fractions_decrease_to_two_thirds)
+    section("bounds", {
+        "alpha_lower": [{"d": s.d, "alpha": s.alpha, "residual": s.residual}
+                        for s in alphas],
+        "alpha_upper": [{"m": r["m"], "fraction": str(r["fraction"])}
+                        for r in upper["table"]],
+        "counting_rows": [
+            {"n": r.n, "d": r.d, "k": r.k,
+             "reduced": str(r.reduced_param_count), "pure": str(r.pure_param_count),
+             "sufficient": r.sufficient_by_count}
+            for r in rows
+        ],
+    })
+    section("alpha_upper", {"fractions": [str(f) for f in upper["fractions"]]})
 
-    # Linear uniqueness genericity at the m=1 qubit split.
-    def linear_section():
-        base = SeededRng(seed).spawn(1)
-        sig = PartySignature([4, 2, 2])
-        ok = 0
-        n_lin = max(trials * 10, 200)
-        for t in range(n_lin):
-            state = haar_random_state(sig, base.spawn(t))
-            v = check_linear_uniqueness(state)
-            ok += v.verdict == UNIQUE_LINEAR and v.null_dim == 1
-        checks["linear_genericity"] = ok >= n_lin - max(1, n_lin // 200)
-        return {"trials": n_lin, "unique_linear": ok}
-    tick("linear_survey", linear_section)
-
-    # The identity pattern is in the kernel for every amplitude tensor.
-    def invariant_section():
-        base = SeededRng(seed).spawn(2)
-        worst = 0.0
-        shapes = [(2, 2, 2), (3, 2, 2), (4, 2, 2), (4, 3, 2), (3, 3, 3), (5, 2, 3)]
-        count = 0
-        for t in range(1000):
-            shape = shapes[t % len(shapes)]
-            state = haar_random_state(PartySignature(shape), base.spawn(t))
-            cm = build_consistency_matrix(state)
-            v = identity_pattern_vector(cm.shape)
-            knorm = float(np.linalg.norm(cm.matrix))
-            worst = max(worst, float(np.linalg.norm(cm.matrix @ v)) / knorm)
-            count += 1
-        checks["identity_pattern_invariant"] = bool(worst <= 1e-12)
-        return {"tensors": count, "worst_relative_residual": worst}
-    tick("identity_pattern", invariant_section)
-
-    # Oracle positive control on 3-qubit Haar states.
-    def oracle_positive_section():
-        base = SeededRng(seed).spawn(3)
-        pairs = [(0, 1), (0, 2), (1, 2)]
-        sig = PartySignature([2, 2, 2])
-        outcomes = []
-        for t in range(trials):
-            state = haar_random_state(sig, base.spawn(t).spawn(0))
-            v = uniqueness_probe(state, pairs, ProjectionConfig(seed=seed),
-                                 rng=base.spawn(t).spawn(1))
-            outcomes.append(v.verdict)
-        ok = outcomes.count(UNIQUE)
-        checks["oracle_positive_control"] = ok >= trials - max(1, trials // 20)
-        return {"trials": trials, "verdicts": outcomes}
-    tick("oracle_positive", oracle_positive_section)
-
-    # GHZ negative control with the analytic mixture cross-check.
-    def ghz_section():
-        state = _ghz_state(3)
-        rho = to_density(state)
-        pairs = [(0, 1), (0, 2), (1, 2)]
-        v = uniqueness_probe(state, pairs, ProjectionConfig(seed=seed))
-        mix = np.zeros((8, 8), dtype=complex)
-        mix[0, 0] = mix[7, 7] = 0.5
-        mix_residual = max(
-            float(np.abs(partial_trace_matrix(mix, (2, 2, 2), s)
-                         - partial_trace_matrix(rho.matrix, (2, 2, 2), s)).max())
-            for s in pairs)
-        witness_distance = max(v.pairwise_distances) if v.pairwise_distances else 0.0
-        checks["oracle_negative_control"] = bool(
-            v.verdict == NON_UNIQUE
-            and v.max_marginal_residual < 1e-9
-            and witness_distance >= 0.2
-            and mix_residual < 1e-12)
-        return {
-            "verdict": v.verdict,
-            "max_marginal_residual": v.max_marginal_residual,
-            "witness_distance": witness_distance,
-            "mixture_marginal_residual": mix_residual,
-        }
-    tick("oracle_negative_ghz", ghz_section)
-
-    # Constraint-kernel dimensions.
-    def kernel_section():
-        k3 = constraint_nullspace(PartySignature([2, 2, 2]),
-                                  [(0, 1), (0, 2), (1, 2)]).shape[0]
-        k2 = constraint_nullspace(PartySignature([2, 2]), [(0,), (1,)]).shape[0]
-        checks["constraint_kernel_dims"] = (k3 == 27 and k2 == 9)
-        return {"three_qubit_pairs": k3, "two_qubit_singles": k2}
-    tick("constraint_kernels", kernel_section)
-
-    # Linear test and oracle must not contradict on tripartite samples.
-    def consistency_section():
-        base = SeededRng(seed).spawn(4)
-        sig = PartySignature([4, 2, 2])
-        subsets = [(0, 1), (0, 2)]
-        n_cons = max(trials // 2, 5)
-        contradictions = 0
-        rows = []
-        for t in range(n_cons):
-            state = haar_random_state(sig, base.spawn(t).spawn(0))
-            lin = check_linear_uniqueness(state).verdict
-            orc = uniqueness_probe(state, subsets, ProjectionConfig(seed=seed),
-                                   rng=base.spawn(t).spawn(1)).verdict
-            rows.append({"linear": lin, "oracle": orc})
-            contradictions += (lin == UNIQUE_LINEAR and orc == NON_UNIQUE)
-        checks["linear_oracle_consistency"] = contradictions == 0
-        return {"trials": n_cons, "contradictions": contradictions, "rows": rows}
-    tick("linear_oracle_consistency", consistency_section)
-
-    # Classical counterexample.
-    def classical_section():
-        p = classical_mod.JointDistribution.uniform(3, 2)
-        p, q = classical_mod.counterexample_pair(3, 2, 0.05, SeededRng(seed), base=p)
-        worst = max(
-            float(np.abs(classical_mod.classical_marginal(p, keep).probabilities
-                         - classical_mod.classical_marginal(q, keep).probabilities).max())
-            for keep in itertools.combinations(range(3), 2))
-        l1 = float(np.abs(p.probabilities - q.probabilities).sum())
-        delta_l1 = float(np.abs(classical_mod.alternating_deviation(3, 2)).sum())
-        checks["classical_counterexample"] = bool(
-            worst < 1e-14 and l1 >= 0.05 * delta_l1 * (1 - 1e-12))
-        return {"max_marginal_difference": worst, "l1_distance": l1}
-    tick("classical", classical_section)
+    section("linear_survey", check(claims.linear_genericity, seed=seed, spawn=1,
+                                   trials=max(trials * 10, 200)),
+            "trials", "unique_linear")
+    section("identity_pattern", check(
+        claims.identity_pattern_invariant, seed=seed, spawn=2,
+        shapes=[(2, 2, 2), (3, 2, 2), (4, 2, 2), (4, 3, 2), (3, 3, 3), (5, 2, 3)]))
+    section("oracle_positive", check(claims.oracle_positive_control,
+                                     seed=seed, spawn=3, trials=trials),
+            "trials", "verdicts")
+    section("oracle_negative_ghz", check(claims.oracle_negative_control, seed=seed),
+            "verdict", "max_marginal_residual", "witness_distance",
+            "mixture_marginal_residual")
+    section("constraint_kernels", check(claims.constraint_kernel_dims))
+    section("linear_oracle_consistency", check(
+        claims.linear_oracle_consistency, seed=seed, spawn=4, trials=max(trials // 2, 5)))
+    section("classical", check(claims.classical_counterexample, seed=seed),
+            "max_marginal_difference", "l1_distance")
 
     results = {"sections": sections, "checks": checks,
                "all_checks_pass": all(checks.values())}
@@ -562,40 +431,35 @@ def build_parser() -> _Parser:
                                  "matrices; counting bounds; classical contrast.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, trials=False, epsilon=False, mode=False, state=False, m=False):
+    def common(p, *, report=True, oracle=False):
         p.add_argument("--n", type=int, default=None, help="number of parties")
         p.add_argument("--d", type=int, default=None, help="local dimension")
         p.add_argument("--seed", type=int, default=0, help="master seed")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", type=str, default=None, help="output path")
-        p.add_argument("--tol-rank", dest="tol_rank", type=float, default=1e-8)
-        p.add_argument("--tol-converge", dest="tol_converge", type=float, default=1e-9)
-        p.add_argument("--max-iter", dest="max_iter", type=int, default=5000)
-        if trials:
-            p.add_argument("--trials", type=int, default=None)
-        if epsilon:
-            p.add_argument("--epsilon", type=float, default=None)
-        if mode:
-            p.add_argument("--mode", choices=("linear", "oracle", "both"),
-                           default="oracle")
-            p.add_argument("--subsets", type=str, default=None,
-                           help="comma-separated party groups, e.g. 01,02,12")
-        if state:
-            p.add_argument("--state", type=str, default=None, help="state JSON path")
-        if m:
-            p.add_argument("--m", type=int, default=None,
-                           help="tripartite split parameter (3m+1 parties)")
+        if report:
+            p.add_argument("--format", choices=("json", "csv"), default="json")
+        if oracle:
+            p.add_argument("--tol-converge", dest="tol_converge", type=float, default=1e-9)
+            p.add_argument("--max-iter", dest="max_iter", type=int, default=5000)
 
     p_sample = sub.add_parser("sample", help="write a seeded Haar-random state")
-    common(p_sample)
+    common(p_sample, report=False)
     p_sample.set_defaults(func=cmd_sample)
 
     p_check = sub.add_parser("check", help="uniqueness verdicts for one state")
-    common(p_check, mode=True, state=True, m=True)
+    common(p_check, oracle=True)
+    p_check.add_argument("--tol-rank", dest="tol_rank", type=float, default=1e-8)
+    p_check.add_argument("--mode", choices=("linear", "oracle", "both"), default="oracle")
+    p_check.add_argument("--subsets", type=str, default=None,
+                         help="comma-separated party groups, e.g. 01,02,12")
+    p_check.add_argument("--state", type=str, default=None, help="state JSON path")
+    p_check.add_argument("--m", type=int, default=None,
+                         help="tripartite split parameter (3m+1 parties)")
     p_check.set_defaults(func=cmd_check)
 
     p_survey = sub.add_parser("survey", help="uniqueness statistics on Haar samples")
-    common(p_survey, trials=True)
+    common(p_survey, oracle=True)
+    p_survey.add_argument("--trials", type=int, default=None)
     p_survey.add_argument("--subsets", type=str, required=True)
     p_survey.set_defaults(func=cmd_survey)
 
@@ -608,7 +472,8 @@ def build_parser() -> _Parser:
     p_bounds.set_defaults(func=cmd_bounds)
 
     p_classical = sub.add_parser("classical", help="marginal-equal classical pair")
-    common(p_classical, epsilon=True)
+    common(p_classical)
+    p_classical.add_argument("--epsilon", type=float, default=None)
     p_classical.set_defaults(func=cmd_classical)
 
     p_rep = sub.add_parser("reproduce", help="run the full desk-scale pipeline")

@@ -327,13 +327,9 @@ def dykstra_solve(start: np.ndarray, constraints: MarginalConstraintSet,
     """Project a Hermitian starting point toward the marginal-consistent
     density matrices by Dykstra-corrected alternating projections."""
     op = ConstraintOperator(constraints)
-    return _solve_one(np.asarray(start, dtype=complex), op, config)
-
-
-def _solve_one(start: np.ndarray, op: ConstraintOperator,
-               config: ProjectionConfig) -> DykstraResult:
     outs, iters, conv = _dykstra_batch(
-        start[None, :, :], op, config.max_iterations, config.convergence_tol)
+        np.asarray(start, dtype=complex)[None, :, :], op,
+        config.max_iterations, config.convergence_tol)
     return _result_from_run(outs[0], int(iters[0]), bool(conv[0]), op)
 
 

@@ -10,7 +10,7 @@ import itertools
 import numpy as np
 import pytest
 
-from qmarginal.tensor import AmplitudeTensor, PartySignature
+from qmarginal.claims import ghz_state  # noqa: F401  (re-exported for the tests)
 
 
 PAULI = {
@@ -19,14 +19,6 @@ PAULI = {
     2: np.array([[0, -1j], [1j, 0]], dtype=complex),
     3: np.array([[1, 0], [0, -1]], dtype=complex),
 }
-
-
-def ghz_state(n: int = 3, a: float = None) -> AmplitudeTensor:
-    amp = 1 / np.sqrt(2) if a is None else a
-    vec = np.zeros(2 ** n, dtype=complex)
-    vec[0] = amp
-    vec[-1] = np.sqrt(1 - abs(amp) ** 2)
-    return AmplitudeTensor.from_vector(vec, [2] * n)
 
 
 def random_hermitian(rng: np.random.Generator, t: int) -> np.ndarray:

@@ -1,60 +1,28 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines inline.
+Each criterion's computation and check is a ``qmarginal.claims``
+definition, the same one ``qmarginal reproduce`` embeds in its report;
+the tests fix their own master seed, substream index and sizes, and add
+a runtime bound where the criterion has one. c12 tests ``reproduce``
+itself.
+
 Criterion 2 is split: the d-sweep monotonicity (2a) and the large-d value
 (2b). 2b asserts the stated threshold alpha(1000) > 0.49 and fails: the
 root of H(a) + a ln(d^2-1) - ln d approaches 1/2 only like
 1/2 - ln2/(2 ln d), so it first exceeds 0.49 near d ~ 1e15; at d = 1000
 the root is 0.4502. The assertion is kept as stated rather than weakened;
-see the README note on this check.
+see the README note on this check. 2b is not a claim of the registry.
 """
 
-import itertools
 import json
-import math
 import time
 
-import numpy as np
-
-from qmarginal.bounds import (
-    binary_entropy,
-    count_reduced_params,
-    pure_param_count,
-    solve_alpha_lower,
-)
-from qmarginal.classical import (
-    JointDistribution,
-    alternating_deviation,
-    classical_marginal,
-    counterexample_pair,
-)
+from qmarginal import claims
+from qmarginal.bounds import solve_alpha_lower
 from qmarginal.cli import main as cli_main
-from qmarginal.feasibility import (
-    NON_UNIQUE,
-    UNIQUE,
-    ProjectionConfig,
-    constraint_nullspace,
-    uniqueness_probe,
-)
-from qmarginal.tensor import (
-    PartySignature,
-    SeededRng,
-    haar_random_state,
-    partial_trace_matrix,
-    to_density,
-    trace_distance,
-)
-from qmarginal.uniqueness import (
-    UNIQUE_LINEAR,
-    build_consistency_matrix,
-    check_linear_uniqueness,
-    identity_pattern_vector,
-)
-
-from conftest import ghz_state
 
 MASTER_SEED = 20260808
-PAIRS3 = [(0, 1), (0, 2), (1, 2)]
 
 
 def _line(tag: str, ok: bool, detail: str) -> bool:
@@ -64,17 +32,16 @@ def _line(tag: str, ok: bool, detail: str) -> bool:
 
 def test_c01_lower_bound_root_qubits():
     t0 = time.perf_counter()
-    sol = solve_alpha_lower(2)
+    ok, v = claims.alpha_qubit_in_window()
     elapsed = time.perf_counter() - t0
-    ok = 0.1885 <= sol.alpha <= 0.1895 and sol.residual < 1e-12 and elapsed < 1.0
-    assert _line("01", ok,
-                 f"alpha(2)={sol.alpha:.6f}, residual={sol.residual:.2e}, "
+    assert _line("01", ok and elapsed < 1.0,
+                 f"alpha(2)={v['alpha']:.6f}, residual={v['residual']:.2e}, "
                  f"runtime={elapsed:.3f}s")
 
 
 def test_c02a_lower_bound_monotone_in_d():
-    alphas = [solve_alpha_lower(d).alpha for d in range(2, 51)]
-    ok = all(b >= a for a, b in zip(alphas, alphas[1:]))
+    ok, v = claims.alpha_monotone_d_2_10(d_max=50)
+    alphas = [s.alpha for s in v["solutions"]]
     assert _line("02a", ok,
                  f"alpha(d) non-decreasing over d=2..50 "
                  f"(alpha(2)={alphas[0]:.4f} .. alpha(50)={alphas[-1]:.4f})")
@@ -94,143 +61,72 @@ def test_c02b_lower_bound_large_d_threshold():
 
 
 def test_c03_counting_identity():
-    ok = all(
-        count_reduced_params(n, n, d) + 1 == d ** (2 * n)
-        for n in range(1, 21) for d in range(2, 6)
-    )
+    ok, _ = claims.counting_identity()
     assert _line("03", ok, "sum_r C(n,r)(d^2-1)^r + 1 == d^(2n) for n<=20, d<=5")
 
 
 def test_c04_finite_n_comparison():
-    r2 = count_reduced_params(3, 2, 2)
-    r1 = count_reduced_params(3, 1, 2)
-    pure = pure_param_count(3, 2)
-    ok = r2 == 36 and pure == 14 and r2 >= pure and r1 == 9 and r1 < pure
-    assert _line("04", ok, f"(n=3,k=2): {r2} >= {pure}; (n=3,k=1): {r1} < {pure}")
+    ok, v = claims.finite_n_comparison()
+    one, two = v["rows"][:2]
+    assert _line("04", ok,
+                 f"(n=3,k=2): {two.reduced_param_count} >= {two.pure_param_count}; "
+                 f"(n=3,k=1): {one.reduced_param_count} < {one.pure_param_count}")
 
 
 def test_c05_linear_uniqueness_genericity():
     t0 = time.perf_counter()
-    sig = PartySignature([4, 2, 2])
-    base = SeededRng(MASTER_SEED).spawn(5)
-    hits = 0
-    worst_residual = 0.0
-    for trial in range(200):
-        state = haar_random_state(sig, base.spawn(trial))
-        verdict = check_linear_uniqueness(state)
-        if verdict.verdict == UNIQUE_LINEAR and verdict.null_dim == 1 \
-                and verdict.residual < 1e-8:
-            hits += 1
-            worst_residual = max(worst_residual, verdict.residual)
+    ok, v = claims.linear_genericity(seed=MASTER_SEED, spawn=5, trials=200)
     elapsed = time.perf_counter() - t0
-    ok = hits >= 199 and elapsed < 10.0
-    assert _line("05", ok,
-                 f"{hits}/200 UNIQUE_LINEAR at shape (4,2,2), worst pattern "
-                 f"residual {worst_residual:.2e}, runtime={elapsed:.2f}s")
+    assert _line("05", ok and elapsed < 10.0,
+                 f"{v['unique_linear']}/200 UNIQUE_LINEAR at shape (4,2,2), worst pattern "
+                 f"residual {v['worst_residual']:.2e}, runtime={elapsed:.2f}s")
 
 
 def test_c06_identity_pattern_algebraic_invariant():
     shapes = [(2, 2, 2), (3, 2, 2), (4, 2, 2), (4, 3, 2), (3, 3, 3), (5, 2, 3),
               (6, 3, 2), (4, 4, 2)]
-    base = SeededRng(MASTER_SEED).spawn(6)
-    worst = 0.0
-    for trial in range(1000):
-        shape = shapes[trial % len(shapes)]
-        state = haar_random_state(PartySignature(shape), base.spawn(trial))
-        cm = build_consistency_matrix(state)
-        v = identity_pattern_vector(cm.shape)
-        rel = float(np.linalg.norm(cm.matrix @ v)) / float(np.linalg.norm(cm.matrix))
-        worst = max(worst, rel)
-    ok = worst <= 1e-12
-    assert _line("06", ok, f"1000 tensors, worst ||K v_id|| / ||K|| = {worst:.2e}")
+    ok, v = claims.identity_pattern_invariant(seed=MASTER_SEED, spawn=6, shapes=shapes)
+    assert _line("06", ok, f"1000 tensors, worst ||K v_id|| / ||K|| = "
+                           f"{v['worst_relative_residual']:.2e}")
 
 
 def test_c07_oracle_positive_control():
     t0 = time.perf_counter()
-    sig = PartySignature([2, 2, 2])
-    base = SeededRng(MASTER_SEED).spawn(7)
-    config = ProjectionConfig(seed=MASTER_SEED)
-    good = 0
-    for trial in range(20):
-        state = haar_random_state(sig, base.spawn(trial).spawn(0))
-        verdict = uniqueness_probe(state, PAIRS3, config,
-                                   rng=base.spawn(trial).spawn(1))
-        if verdict.verdict == UNIQUE and \
-                all(r.distance <= 1e-4 for r in verdict.runs):
-            good += 1
+    ok, v = claims.oracle_positive_control(seed=MASTER_SEED, spawn=7, trials=20)
     elapsed = time.perf_counter() - t0
-    ok = good >= 19 and elapsed < 60.0
-    assert _line("07", ok,
-                 f"{good}/20 probes UNIQUE with every restart within 1e-4, "
+    assert _line("07", ok and elapsed < 60.0,
+                 f"{v['unique']}/20 probes UNIQUE with every restart within 1e-4, "
                  f"runtime={elapsed:.1f}s")
 
 
 def test_c08_oracle_negative_control_ghz():
-    state = ghz_state(3)
-    rho = to_density(state)
-    verdict = uniqueness_probe(state, PAIRS3, ProjectionConfig(seed=MASTER_SEED))
-    non_unique = verdict.verdict == NON_UNIQUE and len(verdict.witnesses) >= 2
-    witness = verdict.witnesses[1] if non_unique else rho
-    witness_marginal = max(
-        float(np.linalg.norm(partial_trace_matrix(witness.matrix, (2, 2, 2), s)
-                             - partial_trace_matrix(rho.matrix, (2, 2, 2), s)))
-        for s in PAIRS3)
-    distance = trace_distance(witness, rho)
-    mix = np.zeros((8, 8), dtype=complex)
-    mix[0, 0] = mix[7, 7] = 0.5
-    mixture_marginal = max(
-        float(np.abs(partial_trace_matrix(mix, (2, 2, 2), s)
-                     - partial_trace_matrix(rho.matrix, (2, 2, 2), s)).max())
-        for s in PAIRS3)
-    ok = (non_unique and witness_marginal < 1e-9 and distance >= 0.2
-          and mixture_marginal < 1e-12)
+    ok, v = claims.oracle_negative_control(seed=MASTER_SEED)
     assert _line("08", ok,
-                 f"verdict={verdict.verdict}, witness marginal residual "
-                 f"{witness_marginal:.2e}, trace distance {distance:.3f}, "
-                 f"mixture marginal residual {mixture_marginal:.2e}")
+                 f"verdict={v['verdict']}, witness marginal residual "
+                 f"{v['witness_marginal_residual']:.2e} (oracle's "
+                 f"{v['max_marginal_residual']:.2e}), trace distance "
+                 f"{v['witness_distance']:.3f}, mixture marginal residual "
+                 f"{v['mixture_marginal_residual']:.2e}")
 
 
 def test_c09_constraint_kernel_dimensions():
-    k3 = constraint_nullspace(PartySignature([2, 2, 2]), PAIRS3).shape[0]
-    k2 = constraint_nullspace(PartySignature([2, 2]), [(0,), (1,)]).shape[0]
-    ok = k3 == 27 and k2 == 9
-    assert _line("09", ok, f"3-qubit pairs kernel {k3} (want 27), "
-                           f"2-qubit singles kernel {k2} (want 9)")
+    ok, v = claims.constraint_kernel_dims()
+    assert _line("09", ok, f"3-qubit pairs kernel {v['three_qubit_pairs']} (want 27), "
+                           f"2-qubit singles kernel {v['two_qubit_singles']} (want 9)")
 
 
 def test_c10_linear_oracle_consistency():
-    sig = PartySignature([4, 2, 2])
-    subsets = [(0, 1), (0, 2)]
-    base = SeededRng(MASTER_SEED).spawn(10)
-    config = ProjectionConfig(seed=MASTER_SEED)
-    contradictions = 0
-    for trial in range(50):
-        state = haar_random_state(sig, base.spawn(trial).spawn(0))
-        linear = check_linear_uniqueness(state).verdict
-        oracle = uniqueness_probe(state, subsets, config,
-                                  rng=base.spawn(trial).spawn(1)).verdict
-        if linear == UNIQUE_LINEAR and oracle == NON_UNIQUE:
-            contradictions += 1
-    ok = contradictions == 0
-    assert _line("10", ok,
-                 f"50 tripartite samples, {contradictions} UNIQUE_LINEAR/"
-                 f"NON_UNIQUE contradictions")
+    ok, v = claims.linear_oracle_consistency(seed=MASTER_SEED, spawn=10, trials=50)
+    assert _line("10", ok, f"50 tripartite samples, {v['contradictions']} "
+                           f"UNIQUE_LINEAR/NON_UNIQUE contradictions")
 
 
 def test_c11_classical_counterexample():
-    epsilon = 0.05
-    p, q = counterexample_pair(3, 2, epsilon, SeededRng(MASTER_SEED),
-                               base=JointDistribution.uniform(3, 2))
-    worst = max(
-        float(np.abs(classical_marginal(p, keep).probabilities
-                     - classical_marginal(q, keep).probabilities).max())
-        for keep in itertools.combinations(range(3), 2))
-    l1 = float(np.abs(p.probabilities - q.probabilities).sum())
-    delta_l1 = float(np.abs(alternating_deviation(3, 2)).sum())
-    ok = worst < 1e-14 and l1 >= epsilon * delta_l1 * (1 - 1e-12)
+    ok, v = claims.classical_counterexample(seed=MASTER_SEED)
     assert _line("11", ok,
-                 f"pair marginal diff {worst:.1e}, L1 {l1:.3f} >= "
-                 f"{epsilon * delta_l1 * (1 - 1e-12):.3f}")
+                 f"pair marginal diff {v['max_marginal_difference']:.1e}, "
+                 f"L1 {v['l1_distance']:.3f} >= "
+                 f"{v['epsilon'] * v['deviation_l1'] * (1 - 1e-12):.3f}")
 
 
 def test_c12_reproduce_determinism(tmp_path):

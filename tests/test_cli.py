@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from qmarginal.claims import CLAIMS
 from qmarginal.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_NEGATIVE,
@@ -220,12 +221,25 @@ class TestReproduce:
         del r1["timings"], r2["timings"]
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
         assert r1["results"]["all_checks_pass"] is True
+        assert set(r1["results"]["checks"]) == set(CLAIMS)
 
 
 class TestUsage:
     def test_unknown_command(self, capsys):
         code, _ = run(["frobnicate"], capsys)
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--n", "3", "--d", "2", "--format", "csv"],
+        ["classical", "--n", "3", "--d", "2", "--epsilon", "0.01", "--seed", "3",
+         "--max-iter", "10"],
+        ["survey", "--n", "3", "--d", "2", "--subsets", "01,02,12", "--trials", "1",
+         "--tol-rank", "1e-6"],
+    ], ids=["sample-format", "classical-max-iter", "survey-tol-rank"])
+    def test_flag_the_command_ignores_is_rejected(self, argv, capsys):
+        code, out = run(argv, capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
 
     def test_nan_state_names_the_problem(self, tmp_path, capsys):
         path = tmp_path / "nan.json"
