@@ -4,9 +4,9 @@ JSON/CSV reports.
 Subcommands: sample, check, survey, bounds, classical, reproduce.
 Exit codes are a stable contract: 0 success / positive finding, 1 usage
 error, 2 negative finding (NON_UNIQUE, DEGENERATE, rejected input),
-3 inconclusive. Reports echo the fully resolved configuration and keep all
-wall-clock data under the "timings" key so that payloads are byte-stable
-for a fixed seed.
+3 inconclusive, 4 internal error (a numerical routine failed). Reports
+echo the fully resolved configuration and keep all wall-clock data under
+the "timings" key so that payloads are byte-stable for a fixed seed.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NEGATIVE = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_INTERNAL = 4
 
 
 class UsageError(Exception):
@@ -131,8 +132,6 @@ def _matrix_payload(matrix: np.ndarray) -> list[list[list[float]]]:
 def _emit(report: dict, fmt: str, out_path: str | None,
           csv_rows=None, csv_header=None) -> None:
     if fmt == "csv":
-        if csv_rows is None:
-            raise UsageError("--format csv is only available for tabular reports")
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(csv_header)
@@ -234,6 +233,9 @@ def cmd_check(args) -> int:
         oracle = {
             "subsets": [list(s) for s in subsets],
             "verdict": verdict.verdict,
+            "certified": verdict.certified,
+            "decided_by": verdict.decided_by,
+            "certificate_gap": verdict.certificate_gap,
             "max_marginal_residual": verdict.max_marginal_residual,
             "pairwise_distances": list(verdict.pairwise_distances),
             "runs": [
@@ -431,19 +433,19 @@ def build_parser() -> _Parser:
                                  "matrices; counting bounds; classical contrast.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, report=True, oracle=False):
+    def common(p, *, formats=("json",), oracle=False):
         p.add_argument("--n", type=int, default=None, help="number of parties")
         p.add_argument("--d", type=int, default=None, help="local dimension")
         p.add_argument("--seed", type=int, default=0, help="master seed")
         p.add_argument("--out", type=str, default=None, help="output path")
-        if report:
-            p.add_argument("--format", choices=("json", "csv"), default="json")
+        if formats:
+            p.add_argument("--format", choices=formats, default="json")
         if oracle:
             p.add_argument("--tol-converge", dest="tol_converge", type=float, default=1e-9)
             p.add_argument("--max-iter", dest="max_iter", type=int, default=5000)
 
     p_sample = sub.add_parser("sample", help="write a seeded Haar-random state")
-    common(p_sample, report=False)
+    common(p_sample, formats=())
     p_sample.set_defaults(func=cmd_sample)
 
     p_check = sub.add_parser("check", help="uniqueness verdicts for one state")
@@ -458,7 +460,7 @@ def build_parser() -> _Parser:
     p_check.set_defaults(func=cmd_check)
 
     p_survey = sub.add_parser("survey", help="uniqueness statistics on Haar samples")
-    common(p_survey, oracle=True)
+    common(p_survey, formats=("json", "csv"), oracle=True)
     p_survey.add_argument("--trials", type=int, default=None)
     p_survey.add_argument("--subsets", type=str, required=True)
     p_survey.set_defaults(func=cmd_survey)
@@ -495,6 +497,8 @@ def main(argv=None) -> int:
                 raise UsageError("survey needs --trials >= 1")
             if args.n is None or args.d is None:
                 raise UsageError("survey needs --n and --d")
+        if args.command == "reproduce" and args.trials < 1:
+            raise UsageError("reproduce needs --trials >= 1")
         if args.command == "classical":
             if args.n is None or args.d is None:
                 raise UsageError("classical needs --n and --d")
@@ -502,6 +506,11 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (np.linalg.LinAlgError, RuntimeError) as exc:
+        # LinAlgError subclasses ValueError: a failed numerical routine is
+        # the program's fault, not the caller's.
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -16,8 +16,21 @@ certification step: the candidate is polished in factorized form
 ``W = A A^+`` (positive semidefinite by construction) with Gauss-Newton on
 the marginal equations, pushed outward through the feasible set to a
 well-separated point, and finally verified directly against every
-constraint. UNIQUE therefore remains an empirical verdict, while
-NON_UNIQUE is constructive.
+constraint, so NON_UNIQUE is constructive.
+
+UNIQUE is proved, where the marginal supports allow it, by a
+facial-reduction certificate (Borwein & Wolkowicz 1981) with the support
+argument of Ticozzi & Viola 2012. Let ``P_S`` project onto the kernel of
+the marginal ``rho_S``. A state with the same marginals has
+``Tr(rho' P_S (x) I) = Tr(rho_S P_S) = 0`` for every S, so it lives on
+``K = ker sum_S P_S (x) I``, the intersection of the marginal supports.
+If the marginal map restricted to ``Herm(K)`` is injective, the reference
+state is the only such state. The certificate reads every eigenvalue and
+singular value it decides on against two module thresholds, and holds only
+when none of them is ambiguous and the rounding it admits stays within the
+distinctness tolerance. Otherwise, and for every state whose restricted
+map has a kernel (GHZ, or pairs of four qubits, where ``K`` is the whole
+space), UNIQUE stays the empirical verdict of the restarts.
 """
 
 from __future__ import annotations
@@ -71,8 +84,18 @@ RETURNED_REFERENCE = "returned_reference"
 WITNESS = "witness"
 RUN_INCONCLUSIVE = "inconclusive"
 
+DECIDED_BY_CERTIFICATE = "certificate"
+DECIDED_BY_DYKSTRA = "dykstra"
+DECIDED_BY_UNCOVERED = "uncovered_party"
+
 _CERT_TOL = 1e-11          # Gauss-Newton residual needed to accept a witness
 _PSD_VERIFY_ATOL = 1e-10   # witness eigenvalue floor at verification
+# Face certificate: a marginal or support-sum eigenvalue at or below
+# _GAP_ZERO is read as zero. Every value read as nonzero, and every
+# singular value of the restricted marginal map, must reach _GAP_MIN;
+# anything in between is ambiguous and leaves the verdict to Dykstra.
+_GAP_ZERO = 1e-12
+_GAP_MIN = 1e-3
 
 
 def _subset_key(subset: Sequence[int]) -> tuple[int, ...]:
@@ -342,6 +365,72 @@ def _result_from_run(y: np.ndarray, iterations: int, converged: bool,
 
 
 # ---------------------------------------------------------------------------
+# Face certificate
+# ---------------------------------------------------------------------------
+
+def _on_parties(local: np.ndarray, dims: Sequence[int],
+                subset: Sequence[int]) -> np.ndarray:
+    """``local`` acting on the parties in ``subset``, identity on the rest."""
+    n = len(dims)
+    rest = [p for p in range(n) if p not in subset]
+    order = list(subset) + rest
+    d_rest = int(np.prod([dims[p] for p in rest]))
+    full = np.kron(local, np.eye(d_rest)).reshape([dims[p] for p in order] * 2)
+    back = list(np.argsort(order))
+    t = int(np.prod(dims))
+    return full.transpose(back + [n + i for i in back]).reshape(t, t)
+
+
+def _face_certificate(constraints: MarginalConstraintSet, op: ConstraintOperator,
+                      tol: float) -> tuple[bool, float]:
+    """Prove that every state with the prescribed marginals lies within
+    trace distance ``tol`` of the reference.
+
+    The kernel ``P_S`` of each marginal is cut from its spectrum at
+    ``_GAP_ZERO``; ``K`` is the kernel of ``H = sum_S P_S (x) I``, cut the
+    same way, with orthonormal basis ``V`` (T x k); the restricted map sends
+    an orthonormal basis ``E`` of ``Herm(k)`` to ``op.rows @ vec(V E V^+)``.
+    Returns ``(holds, gap)``: ``gap`` is the smallest value compared
+    against ``_GAP_MIN`` (the smallest marginal or ``H`` eigenvalue read as
+    nonzero, or the smallest singular value ``s`` of the restricted map,
+    which is 0 when the map has more columns than rows).
+
+    The certificate holds when the gap reaches ``_GAP_MIN`` and the rounding
+    bound below is at most ``tol``. The eigenvalues cut as zero sum to
+    ``eta``, so a consistent state puts weight at most ``eta / g`` outside
+    ``K`` (``g``: the smallest nonzero ``H`` eigenvalue); by the gentle
+    measurement lemma and the injectivity of the restricted map, its trace
+    distance from the reference is at most
+    ``2 sqrt(eta / g) (1 + sqrt(k) / s)``.
+    """
+    dims, t = op.dims, op.total_dim
+    gaps = []
+    eta = 0.0
+    support_sum = np.zeros((t, t), dtype=complex)
+    for subset, target in constraints.constraints:
+        vals, vecs = np.linalg.eigh(target.matrix)
+        zero = vals <= _GAP_ZERO
+        gaps.append(float(vals[~zero].min()))
+        eta += float(np.abs(vals[zero]).sum())
+        kernel = vecs[:, zero]
+        support_sum += _on_parties(kernel @ kernel.conj().T, dims, subset)
+    vals, vecs = np.linalg.eigh(support_sum)
+    zero = vals <= _GAP_ZERO
+    g = float(vals[~zero].min()) if not zero.all() else np.inf
+    face = vecs[:, zero]
+    k = face.shape[1]
+    if k == 0 or k * k > len(op.rows):
+        return False, 0.0
+    lifted = face @ vec_to_herm(np.eye(k * k), k) @ face.conj().T
+    restricted = op.rows @ herm_to_vec(lifted).T
+    s = float(np.linalg.svd(restricted, compute_uv=False)[-1])
+    gap = min(gaps + [g, s])
+    if gap < _GAP_MIN:
+        return False, gap
+    return bool(2 * np.sqrt(eta / g) * (1 + np.sqrt(k) / s) <= tol), gap
+
+
+# ---------------------------------------------------------------------------
 # Witness certification
 # ---------------------------------------------------------------------------
 
@@ -475,6 +564,15 @@ class FeasibilityVerdict:
     the certified distinct state(s); every witness satisfies the constraints
     to within the convergence tolerance and the distinct ones are separated
     from the reference by more than the distinctness tolerance.
+
+    ``certified`` is True when the face certificate proved UNIQUE and every
+    restart agreed with it. ``decided_by`` names the path that decided:
+    ``"certificate"`` (then ``certified``), ``"dykstra"`` (the restarts and,
+    for NON_UNIQUE, a verified witness) or ``"uncovered_party"`` (a party
+    outside every subset, rotated for an analytic witness).
+    ``certificate_gap`` is the smallest spectral gap or singular value that
+    the certificate compared against its threshold; it is None when no
+    certificate was attempted (an uncovered party).
     """
 
     verdict: str
@@ -482,6 +580,9 @@ class FeasibilityVerdict:
     max_marginal_residual: float
     pairwise_distances: tuple[float, ...]
     runs: tuple[RunRecord, ...] = ()
+    certified: bool = False
+    decided_by: str = DECIDED_BY_DYKSTRA
+    certificate_gap: float | None = None
 
 
 def uniqueness_probe(pure_state: AmplitudeTensor,
@@ -490,13 +591,17 @@ def uniqueness_probe(pure_state: AmplitudeTensor,
                      rng: SeededRng | None = None) -> FeasibilityVerdict:
     """Decide whether the given marginals of a pure state pin it uniquely.
 
-    Starting points are the reference state perturbed along random
-    constraint-kernel directions (where any second consistent state must
-    live), reprojected by the solver. UNIQUE requires every restart to come
-    back to the reference within the distinctness tolerance; NON_UNIQUE
-    requires a directly verified distinct witness; everything else is
-    INCONCLUSIVE. A party not covered by any subset makes uniqueness
-    impossible: a local unitary there is an immediate analytic witness.
+    The face certificate is tried first; when it proves UNIQUE there is
+    no direction to perturb along, so every restart starts at the reference
+    and returns after one iteration, a cheap cross-check of the proof.
+    Otherwise starting points are the reference state perturbed along
+    random constraint-kernel directions (where any second consistent state
+    must live), reprojected by the solver. UNIQUE requires every restart to
+    come back to the reference within the distinctness tolerance;
+    NON_UNIQUE requires a directly verified distinct witness; everything
+    else is INCONCLUSIVE. A party not covered by any subset makes
+    uniqueness impossible: a local unitary there is an immediate analytic
+    witness.
 
     ``rng`` overrides the restart randomness (used by the survey to give
     each trial its own substream); by default it derives from config.seed.
@@ -510,20 +615,15 @@ def uniqueness_probe(pure_state: AmplitudeTensor,
 
     constraints = MarginalConstraintSet.from_state(pure_state, subsets)
     op = ConstraintOperator(constraints)
-    t = signature.total_dim
+    proved, gap = _face_certificate(constraints, op, config.distinctness_tol)
     if rng is None:
         rng = SeededRng(config.seed)
 
-    starts = []
-    for r in range(config.restarts):
-        g = rng.spawn(r).complex_normal((t, t))
-        g = g + g.conj().T
-        kdir = op.project_kernel(g)
-        knorm = float(np.linalg.norm(kdir))
-        if knorm < 1e-14:
-            starts.append(rho.matrix.copy())
-        else:
-            starts.append(rho.matrix + config.perturbation_scale * kdir / knorm)
+    if proved:
+        starts = [rho.matrix] * config.restarts
+    else:
+        starts = [_kernel_start(rho.matrix, op, rng.spawn(r), config)
+                  for r in range(config.restarts)]
     outs, iters, conv = _dykstra_batch(
         np.array(starts), op, config.max_iterations, config.convergence_tol)
 
@@ -549,20 +649,37 @@ def uniqueness_probe(pure_state: AmplitudeTensor,
     if witnesses:
         best = max(witnesses, key=lambda w: trace_distance(w, rho.matrix))
         listed = (rho, _as_density(best, signature))
-        return _finish(NON_UNIQUE, listed, op, runs)
+        return _finish(NON_UNIQUE, listed, op, runs, gap)
     if all(r.outcome == RETURNED_REFERENCE for r in runs):
-        return _finish(UNIQUE, (rho,), op, runs)
-    return _finish(INCONCLUSIVE, (rho,), op, runs)
+        return _finish(UNIQUE, (rho,), op, runs, gap, certified=proved)
+    return _finish(INCONCLUSIVE, (rho,), op, runs, gap)
+
+
+def _kernel_start(reference: np.ndarray, op: ConstraintOperator, rng: SeededRng,
+                  config: ProjectionConfig) -> np.ndarray:
+    """The reference moved by ``perturbation_scale`` along a random
+    direction of the constraint kernel."""
+    t = reference.shape[0]
+    g = rng.complex_normal((t, t))
+    g = g + g.conj().T
+    kdir = op.project_kernel(g)
+    knorm = float(np.linalg.norm(kdir))
+    if knorm < 1e-14:
+        return reference.copy()
+    return reference + config.perturbation_scale * kdir / knorm
 
 
 def _finish(verdict: str, witnesses: tuple[DensityMatrix, ...],
-            op: ConstraintOperator, runs: list[RunRecord]) -> FeasibilityVerdict:
+            op: ConstraintOperator, runs: list[RunRecord], gap: float,
+            certified: bool = False) -> FeasibilityVerdict:
     residual = max(op.marginal_residual(w.matrix) for w in witnesses)
     pairwise = tuple(
         trace_distance(witnesses[i].matrix, witnesses[j].matrix)
         for i in range(len(witnesses)) for j in range(i + 1, len(witnesses))
     )
-    return FeasibilityVerdict(verdict, witnesses, residual, pairwise, tuple(runs))
+    decided_by = DECIDED_BY_CERTIFICATE if certified else DECIDED_BY_DYKSTRA
+    return FeasibilityVerdict(verdict, witnesses, residual, pairwise, tuple(runs),
+                              certified, decided_by, gap)
 
 
 def _uncovered_verdict(state: AmplitudeTensor, rho: DensityMatrix,
@@ -592,7 +709,7 @@ def _uncovered_verdict(state: AmplitudeTensor, rho: DensityMatrix,
                 residual = max(residual, float(np.linalg.norm(diff)))
             return FeasibilityVerdict(
                 NON_UNIQUE, (rho, other), residual,
-                (trace_distance(other, rho),), ())
+                (trace_distance(other, rho),), (), decided_by=DECIDED_BY_UNCOVERED)
     raise RuntimeError("could not rotate the uncovered party away from the state")
 
 

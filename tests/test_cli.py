@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from qmarginal import cli
 from qmarginal.claims import CLAIMS
 from qmarginal.cli import (
     EXIT_INCONCLUSIVE,
+    EXIT_INTERNAL,
     EXIT_NEGATIVE,
     EXIT_OK,
     EXIT_USAGE,
@@ -76,6 +78,8 @@ class TestCheck:
         assert oracle["verdict"] == "NON_UNIQUE"
         assert oracle["witnesses"]
         assert oracle["max_marginal_residual"] < 1e-9
+        assert oracle["certified"] is False and oracle["decided_by"] == "dykstra"
+        assert oracle["certificate_gap"] < 1e-3
 
     def test_seeded_linear_split_exit_ok(self, tmp_path):
         out = tmp_path / "report.json"
@@ -110,7 +114,11 @@ class TestCheck:
         report = load_json(out)
         assert "linear" in report["results"]
         assert "oracle" in report["results"]
-        assert report["results"]["oracle"]["verdict"] == "UNIQUE"
+        oracle = report["results"]["oracle"]
+        assert oracle["verdict"] == "UNIQUE"
+        assert oracle["certified"] is True and oracle["decided_by"] == "certificate"
+        assert oracle["certificate_gap"] >= 1e-3
+        assert [r["iterations"] for r in oracle["runs"]] == [1] * 8
         # A (2,2,2) grouping sits below the M >= N+P-1 bound, so the linear
         # verdict may legitimately be DEGENERATE while the oracle says UNIQUE.
         assert code in (EXIT_OK, EXIT_NEGATIVE)
@@ -228,6 +236,38 @@ class TestUsage:
     def test_unknown_command(self, capsys):
         code, _ = run(["frobnicate"], capsys)
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_reproduce_needs_a_trial(self, trials, capsys):
+        code, out = run(["reproduce", "--seed", "1", "--trials", trials], capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+
+    @pytest.mark.parametrize("command", [
+        ["check", "--n", "3", "--d", "2", "--mode", "both", "--subsets", "01,02,12"],
+        ["classical", "--n", "3", "--d", "2", "--epsilon", "0.01"],
+    ], ids=["check", "classical"])
+    def test_csv_without_a_table_rejected_before_any_work(self, command, monkeypatch,
+                                                          capsys):
+        calls = []
+        monkeypatch.setattr(cli, "uniqueness_probe", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(cli, "check_linear_uniqueness", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(cli.classical_mod, "counterexample_pair",
+                            lambda *a, **k: calls.append(a))
+        code, out = run(command + ["--format", "csv"], capsys)
+        assert code == EXIT_USAGE
+        assert out == "" and calls == []
+
+    def test_numerical_failure_is_an_internal_error(self, monkeypatch, capsys):
+        def failing_solver(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        monkeypatch.setattr(cli, "uniqueness_probe", failing_solver)
+        code = main(["check", "--n", "3", "--d", "2", "--mode", "oracle",
+                     "--subsets", "01,02,12"])
+        captured = capsys.readouterr()
+        assert code == EXIT_INTERNAL == 4
+        assert captured.err.startswith("internal error: Eigenvalues did not converge")
+        assert captured.out == ""
 
     @pytest.mark.parametrize("argv", [
         ["sample", "--n", "3", "--d", "2", "--format", "csv"],

@@ -4,12 +4,17 @@ import numpy as np
 import pytest
 
 from qmarginal.feasibility import (
+    _GAP_MIN,
+    _GAP_ZERO,
     INCONCLUSIVE,
     NON_UNIQUE,
     UNIQUE,
     ConstraintOperator,
     MarginalConstraintSet,
     ProjectionConfig,
+    _dykstra_batch,
+    _face_certificate,
+    _on_parties,
     constraint_nullspace,
     dykstra_solve,
     genericity_survey,
@@ -27,10 +32,14 @@ from qmarginal.tensor import (
     to_density,
     trace_distance,
 )
+from qmarginal.uniqueness import UNIQUE_LINEAR, check_linear_uniqueness
 
-from conftest import ghz_state, random_hermitian, slow_partial_trace
+from conftest import PAULI, ghz_state, kron_all, random_hermitian, slow_partial_trace
 
 PAIRS3 = [(0, 1), (0, 2), (1, 2)]
+PAIRS4 = list(itertools.combinations(range(4), 2))
+TRIPLES5 = list(itertools.combinations(range(5), 3))
+ABAC = [(0, 1), (0, 2)]
 
 
 def haar(dims, seed):
@@ -251,6 +260,8 @@ class TestUniquenessProbe:
         state = ghz_state(3)
         verdict = uniqueness_probe(state, PAIRS3, ProjectionConfig(seed=1))
         assert verdict.verdict == NON_UNIQUE
+        assert not verdict.certified and verdict.decided_by == "dykstra"
+        assert verdict.certificate_gap < _GAP_MIN
         assert len(verdict.witnesses) >= 2
         rho = verdict.witnesses[0]
         witness = verdict.witnesses[1]
@@ -282,6 +293,8 @@ class TestUniquenessProbe:
         assert verdict.verdict == NON_UNIQUE
         assert verdict.max_marginal_residual < 1e-12
         assert verdict.pairwise_distances[0] > 1e-4
+        assert verdict.decided_by == "uncovered_party"
+        assert not verdict.certified and verdict.certificate_gap is None
 
     def test_non_unique_verdict_invariant(self):
         verdict = uniqueness_probe(ghz_state(3), PAIRS3, ProjectionConfig(seed=2))
@@ -352,3 +365,91 @@ class TestGenericitySurvey:
         stats = genericity_survey(sig, [(0, 1, 2), (0, 1, 3)], 3,
                                   ProjectionConfig(seed=6))
         assert stats.unique_fraction == 1.0
+
+
+def certificate(state, subsets, tol=1e-4):
+    cs = MarginalConstraintSet.from_state(state, subsets)
+    return _face_certificate(cs, ConstraintOperator(cs), tol)
+
+
+class TestFaceCertificate:
+    def test_on_parties_matches_kron(self, np_rng):
+        x, z = PAULI[1], PAULI[3]
+        got = _on_parties(np.kron(x, z), (2, 2, 2), (0, 2))
+        assert np.array_equal(got, kron_all([x, np.eye(2), z]))
+        h = random_hermitian(np_rng, 3)
+        got = _on_parties(np.kron(h, z), (3, 2, 2), (0, 2))
+        assert np.array_equal(got, kron_all([h, np.eye(2), z]))
+
+    @pytest.mark.parametrize("dims,subsets,seed", [
+        ((2, 2, 2), PAIRS3, 70), ((2, 2, 2), PAIRS3, 71), ((2, 2, 2), PAIRS3, 72),
+        ((4, 2, 2), ABAC, 73), ((4, 2, 2), ABAC, 74),
+        ((2,) * 5, TRIPLES5, 75),
+    ], ids=["3q-pairs-70", "3q-pairs-71", "3q-pairs-72", "4x2x2-abac-73",
+            "4x2x2-abac-74", "5q-triples-75"])
+    def test_certified_unique_agrees_with_full_dykstra_path(self, dims, subsets, seed):
+        state = haar(dims, seed)
+        config = ProjectionConfig(seed=1)
+        verdict = uniqueness_probe(state, subsets, config)
+        assert verdict.verdict == UNIQUE
+        assert verdict.certified and verdict.decided_by == "certificate"
+        assert verdict.certificate_gap >= _GAP_MIN
+        # The restarts start at the reference and cross-check in one step.
+        assert [r.iterations for r in verdict.runs] == [1] * config.restarts
+        # The full path: starts pushed along the constraint kernel all come back.
+        rho = to_density(state).matrix
+        op = ConstraintOperator(MarginalConstraintSet.from_state(state, subsets))
+        starts = []
+        for r in range(4):
+            g = SeededRng(seed).spawn(r).complex_normal(rho.shape)
+            kdir = op.project_kernel(g + g.conj().T)
+            starts.append(rho + config.perturbation_scale * kdir / np.linalg.norm(kdir))
+        outs, iters, _ = _dykstra_batch(np.array(starts), op, config.max_iterations,
+                                        config.convergence_tol)
+        assert min(iters) > 1
+        for out in outs:
+            assert trace_distance(out, rho) <= config.distinctness_tol
+
+    @pytest.mark.parametrize("a", [None, 0.3, 0.55, 0.8])
+    def test_ghz_family_never_certified(self, a):
+        holds, gap = certificate(ghz_state(3, a), PAIRS3)
+        assert not holds and gap < _GAP_MIN
+
+    @pytest.mark.parametrize("seed", [80, 81, 82])
+    def test_four_qubit_pairs_never_certified(self, seed):
+        # Every pair marginal has full rank: K is the whole space.
+        holds, gap = certificate(haar([2, 2, 2, 2], seed), PAIRS4)
+        assert not holds and gap == 0.0
+
+    @pytest.mark.parametrize("seed", range(90, 98))
+    def test_agrees_with_linear_test_on_4x2x2(self, seed):
+        state = haar([4, 2, 2], seed)
+        holds, _ = certificate(state, ABAC)
+        assert holds
+        assert check_linear_uniqueness(state).verdict == UNIQUE_LINEAR
+
+    def test_ghz_inside_4x2x2_fails_both(self):
+        vec = np.zeros(16)
+        vec[0] = vec[15] = 2 ** -0.5
+        state = AmplitudeTensor.from_vector(vec, [4, 2, 2])
+        holds, _ = certificate(state, ABAC)
+        assert not holds
+        assert check_linear_uniqueness(state).verdict != UNIQUE_LINEAR
+
+    def test_ambiguous_marginal_eigenvalue_falls_back_to_dykstra(self):
+        # Schmidt weights (1 - eps, eps) across AB|C put eps in the spectrum
+        # of the AB marginal, inside the band that reads neither as zero
+        # nor as support.
+        eps = 1e-6
+        assert _GAP_ZERO < eps < _GAP_MIN
+        q, _ = np.linalg.qr(SeededRng(99).complex_normal((4, 4)))
+        vec = np.sqrt(1 - eps) * np.kron(q[:, 0], [1, 0]) + \
+            np.sqrt(eps) * np.kron(q[:, 1], [0, 1])
+        state = AmplitudeTensor.from_vector(vec, [2, 2, 2])
+        holds, gap = certificate(state, PAIRS3)
+        assert not holds and abs(gap - eps) < 1e-9
+        config = ProjectionConfig(seed=1, restarts=2, max_iterations=300)
+        verdict = uniqueness_probe(state, PAIRS3, config)
+        assert not verdict.certified and verdict.decided_by == "dykstra"
+        assert verdict.certificate_gap == gap
+        assert all(r.iterations > 1 for r in verdict.runs)
