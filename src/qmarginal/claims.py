@@ -19,6 +19,7 @@ Registry (``CLAIMS`` key: test in ``tests/test_acceptance.py``):
 - ``identity_pattern_invariant``: ``test_c06_identity_pattern_algebraic_invariant``
 - ``oracle_positive_control``: ``test_c07_oracle_positive_control``
 - ``oracle_negative_control``: ``test_c08_oracle_negative_control_ghz``
+- ``oracle_four_qubit_pairs``: ``test_c13_oracle_four_qubit_pairs``
 - ``constraint_kernel_dims``: ``test_c09_constraint_kernel_dimensions``
 - ``linear_oracle_consistency``: ``test_c10_linear_oracle_consistency``
 - ``classical_counterexample``: ``test_c11_classical_counterexample``
@@ -42,6 +43,7 @@ from .uniqueness import (UNIQUE_LINEAR, build_consistency_matrix, check_linear_u
                          identity_pattern_vector)
 
 PAIRS3 = ((0, 1), (0, 2), (1, 2))
+PAIRS4 = tuple(itertools.combinations(range(4), 2))
 
 
 def ghz_state(n: int, a: float | None = None) -> AmplitudeTensor:
@@ -182,6 +184,24 @@ def oracle_negative_control(seed: int) -> tuple[bool, dict]:
     }
 
 
+def oracle_four_qubit_pairs(seed: int, spawn: int, trials: int) -> tuple[bool, dict]:
+    """Haar 4-qubit states are certified UNIQUE from their pair marginals.
+    Every pair marginal has full rank, so this is the parent-Hamiltonian
+    certificate's case; none may come back NON_UNIQUE."""
+    base = SeededRng(seed).spawn(spawn)
+    sig = PartySignature([2, 2, 2, 2])
+    config = ProjectionConfig(seed=seed)
+    verdicts = []
+    certified = 0
+    for t in range(trials):
+        state = haar_random_state(sig, base.spawn(t).spawn(0))
+        v = uniqueness_probe(state, PAIRS4, config, rng=base.spawn(t).spawn(1))
+        verdicts.append(v.verdict)
+        certified += v.verdict == UNIQUE and v.certified
+    ok = certified >= trials - max(1, trials // 20) and NON_UNIQUE not in verdicts
+    return ok, {"trials": trials, "verdicts": verdicts, "certified": certified}
+
+
 def constraint_kernel_dims() -> tuple[bool, dict]:
     k3 = constraint_nullspace(PartySignature([2, 2, 2]), PAIRS3).shape[0]
     k2 = constraint_nullspace(PartySignature([2, 2]), [(0,), (1,)]).shape[0]
@@ -225,6 +245,7 @@ CLAIMS = {f.__name__: f for f in (
     identity_pattern_invariant,
     oracle_positive_control,
     oracle_negative_control,
+    oracle_four_qubit_pairs,
     constraint_kernel_dims,
     linear_oracle_consistency,
     classical_counterexample,

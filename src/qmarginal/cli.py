@@ -236,6 +236,7 @@ def cmd_check(args) -> int:
             "certified": verdict.certified,
             "decided_by": verdict.decided_by,
             "certificate_gap": verdict.certificate_gap,
+            "face_dim": verdict.face_dim,
             "max_marginal_residual": verdict.max_marginal_residual,
             "pairwise_distances": list(verdict.pairwise_distances),
             "runs": [
@@ -409,6 +410,9 @@ def cmd_reproduce(args) -> int:
     section("oracle_negative_ghz", check(claims.oracle_negative_control, seed=seed),
             "verdict", "max_marginal_residual", "witness_distance",
             "mixture_marginal_residual")
+    section("oracle_four_qubit_pairs", check(claims.oracle_four_qubit_pairs,
+                                             seed=seed, spawn=5, trials=trials),
+            "trials", "verdicts", "certified")
     section("constraint_kernels", check(claims.constraint_kernel_dims))
     section("linear_oracle_consistency", check(
         claims.linear_oracle_consistency, seed=seed, spawn=4, trials=max(trials // 2, 5)))

@@ -18,19 +18,27 @@ the marginal equations, pushed outward through the feasible set to a
 well-separated point, and finally verified directly against every
 constraint, so NON_UNIQUE is constructive.
 
-UNIQUE is proved, where the marginal supports allow it, by a
-facial-reduction certificate (Borwein & Wolkowicz 1981) with the support
-argument of Ticozzi & Viola 2012. Let ``P_S`` project onto the kernel of
-the marginal ``rho_S``. A state with the same marginals has
+UNIQUE is proved, where the marginals allow it, by one of two
+certificates. The first is facial reduction (Borwein & Wolkowicz 1981)
+with the support argument of Ticozzi & Viola 2012. Let ``P_S`` project onto
+the kernel of the marginal ``rho_S``. A state with the same marginals has
 ``Tr(rho' P_S (x) I) = Tr(rho_S P_S) = 0`` for every S, so it lives on
 ``K = ker sum_S P_S (x) I``, the intersection of the marginal supports.
 If the marginal map restricted to ``Herm(K)`` is injective, the reference
-state is the only such state. The certificate reads every eigenvalue and
-singular value it decides on against two module thresholds, and holds only
-when none of them is ambiguous and the rounding it admits stays within the
-distinctness tolerance. Otherwise, and for every state whose restricted
-map has a kernel (GHZ, or pairs of four qubits, where ``K`` is the whole
-space), UNIQUE stays the empirical verdict of the restarts.
+state is the only such state. When no marginal has a kernel, ``K`` is the
+whole space and the second certificate is a parent Hamiltonian (Chen, Ji,
+Zeng & Zhou 2012): a combination ``H`` of the product operators the
+marginals pin, with the state as its ground state and a spectral gap. Every
+state with the same marginals has the same energy ``Tr(H rho')``, so the
+gap confines it to the ground space; Haar 4-qubit states are certified from
+their pair marginals this way (the case of Wyderka, Huber & Guehne 2017).
+Each certificate reads every eigenvalue and singular value it decides on
+against two module thresholds, and holds only when none of them is
+ambiguous and the rounding it admits stays within the distinctness
+tolerance. Otherwise UNIQUE is the empirical verdict of the restarts, which
+then run on Herm(K) when ``K`` is a proper subspace read without ambiguity
+(a k x k problem, k = 2 for GHZ-type states), and on the whole space
+otherwise.
 """
 
 from __future__ import annotations
@@ -83,8 +91,10 @@ INCONCLUSIVE = "INCONCLUSIVE"
 RETURNED_REFERENCE = "returned_reference"
 WITNESS = "witness"
 RUN_INCONCLUSIVE = "inconclusive"
+RUN_NOT_CONVERGED = "not_converged"
 
 DECIDED_BY_CERTIFICATE = "certificate"
+DECIDED_BY_PARENT_HAMILTONIAN = "parent_hamiltonian"
 DECIDED_BY_DYKSTRA = "dykstra"
 DECIDED_BY_UNCOVERED = "uncovered_party"
 
@@ -96,6 +106,9 @@ _PSD_VERIFY_ATOL = 1e-10   # witness eigenvalue floor at verification
 # anything in between is ambiguous and leaves the verdict to Dykstra.
 _GAP_ZERO = 1e-12
 _GAP_MIN = 1e-3
+# Parent-Hamiltonian ascent step cap. Of 460 Haar 4-qubit pair states most
+# hold at the starting point, and none needed more than 12 steps.
+_DUAL_STEPS = 60
 
 
 def _subset_key(subset: Sequence[int]) -> tuple[int, ...]:
@@ -381,19 +394,30 @@ def _on_parties(local: np.ndarray, dims: Sequence[int],
     return full.transpose(back + [n + i for i in back]).reshape(t, t)
 
 
+def _restricted_map(op: ConstraintOperator, basis: np.ndarray) -> np.ndarray:
+    """The marginal map on ``Herm(K)``: ``op.rows`` applied to ``V E V^+``
+    for an orthonormal basis ``E`` of ``Herm(k)`` (``V = basis``, T x k)."""
+    k = basis.shape[1]
+    lifted = basis @ vec_to_herm(np.eye(k * k), k) @ basis.conj().T
+    return op.rows @ herm_to_vec(lifted).T
+
+
 def _face_certificate(constraints: MarginalConstraintSet, op: ConstraintOperator,
-                      tol: float) -> tuple[bool, float]:
+                      tol: float) -> tuple[bool, float, np.ndarray, bool]:
     """Prove that every state with the prescribed marginals lies within
     trace distance ``tol`` of the reference.
 
     The kernel ``P_S`` of each marginal is cut from its spectrum at
     ``_GAP_ZERO``; ``K`` is the kernel of ``H = sum_S P_S (x) I``, cut the
-    same way, with orthonormal basis ``V`` (T x k); the restricted map sends
-    an orthonormal basis ``E`` of ``Herm(k)`` to ``op.rows @ vec(V E V^+)``.
-    Returns ``(holds, gap)``: ``gap`` is the smallest value compared
-    against ``_GAP_MIN`` (the smallest marginal or ``H`` eigenvalue read as
-    nonzero, or the smallest singular value ``s`` of the restricted map,
-    which is 0 when the map has more columns than rows).
+    same way, with orthonormal basis ``V`` (T x k); the restricted map is
+    :func:`_restricted_map`. Returns ``(holds, gap, V, clear)``: ``gap`` is
+    the smallest value compared against ``_GAP_MIN`` (the smallest marginal
+    or ``H`` eigenvalue read as nonzero, or the smallest singular value
+    ``s`` of the restricted map, which is 0 when the map has more columns
+    than rows, and 0 when ``K`` is empty or the whole space); ``clear`` says
+    that ``K`` is a proper, non-empty subspace and that every marginal and
+    ``H`` eigenvalue and every singular value of the restricted map is
+    either at most ``_GAP_ZERO`` or at least ``_GAP_MIN``.
 
     The certificate holds when the gap reaches ``_GAP_MIN`` and the rounding
     bound below is at most ``tol``. The eigenvalues cut as zero sum to
@@ -419,15 +443,111 @@ def _face_certificate(constraints: MarginalConstraintSet, op: ConstraintOperator
     g = float(vals[~zero].min()) if not zero.all() else np.inf
     face = vecs[:, zero]
     k = face.shape[1]
-    if k == 0 or k * k > len(op.rows):
-        return False, 0.0
-    lifted = face @ vec_to_herm(np.eye(k * k), k) @ face.conj().T
-    restricted = op.rows @ herm_to_vec(lifted).T
-    s = float(np.linalg.svd(restricted, compute_uv=False)[-1])
+    if k in (0, t):
+        return False, 0.0, face, False
+    svals = np.linalg.svd(_restricted_map(op, face), compute_uv=False)
+    s = float(svals[-1]) if k * k <= len(op.rows) else 0.0
     gap = min(gaps + [g, s])
+    clear = min(gaps + [g]) >= _GAP_MIN and \
+        bool(np.all((svals <= _GAP_ZERO) | (svals >= _GAP_MIN)))
     if gap < _GAP_MIN:
-        return False, gap
-    return bool(2 * np.sqrt(eta / g) * (1 + np.sqrt(k) / s) <= tol), gap
+        return False, gap, face, clear
+    return bool(2 * np.sqrt(eta / g) * (1 + np.sqrt(k) / s) <= tol), gap, face, clear
+
+
+def _parent_hamiltonian(psi: np.ndarray, op: ConstraintOperator,
+                        tol: float) -> tuple[bool, float, np.ndarray | None]:
+    """Prove uniqueness with a gapped parent Hamiltonian of ``psi``.
+
+    ``H = sum_l c_l B_l`` ranges over the traceless operators ``B_l`` that
+    the marginals pin (the rows of ``op`` after the identity, the first of
+    the sorted labels), restricted to the null space of
+    ``c -> (I - psi psi^+) H psi`` so that ``psi`` is an eigenvector. Any
+    state with the prescribed marginals has energy ``e = psi^+ H psi``.
+    With ``H``'s eigenvalues ``l0 <= l1 <= ... <= lmax`` it puts weight at
+    most ``(e - l0) / (l1 - l0)`` off the ground vector, so its trace
+    distance from the reference is at most
+    ``2 sqrt((e - l0 + r) / (l1 - l0))``; ``r = T eps max(|l0|, |lmax|)``
+    is the float allowance for ``eigvalsh`` rounding. The certificate holds
+    when the relative gap ``(l1 - l0) / (lmax - l0)`` reaches ``_GAP_MIN``
+    and that bound is at most ``tol``.
+
+    ``c`` starts at minus the pinned part of ``psi psi^+`` projected onto
+    the null space, and takes up to ``_DUAL_STEPS`` normalized steps of
+    gradient ascent on the unit sphere for ``lambda_min(H on psi-perp) - e``
+    (the minimum smoothed by softmin weights), stopping as soon as the
+    certificate holds. Returns ``(holds, relative gap, H)``; ``H`` is None
+    when no candidate exists.
+    """
+    t = len(psi)
+    rows = op.rows[1:]
+    ops = vec_to_herm(rows, t)
+    moved = ops @ psi
+    off = moved - np.outer(moved @ psi.conj(), psi)       # (I - psi psi^+) B_l psi
+    _, svals, vh = np.linalg.svd(np.concatenate([off.real, off.imag], axis=1).T)
+    null = vh[int(np.sum(svals > _GAP_ZERO * svals[0])):]
+    if len(null) == 0:
+        return False, 0.0, None
+    basis = np.tensordot(null, ops, axes=1)
+    perp = np.linalg.svd(psi.conj()[None, :])[2][1:].conj().T
+    basis_perp = perp.conj().T @ basis @ perp
+    energy = np.einsum("i,nij,j->n", psi.conj(), basis, psi).real
+    a = -(null @ (rows @ herm_to_vec(np.outer(psi, psi.conj()))))
+    a /= np.linalg.norm(a)
+    for step in range(_DUAL_STEPS + 1):
+        h = np.tensordot(a, basis, axes=1)
+        vals = np.linalg.eigvalsh(h)
+        l0, l1, lmax = vals[0], vals[1], vals[-1]
+        rel = float((l1 - l0) / (lmax - l0))
+        slack = t * np.finfo(float).eps * max(abs(l0), abs(lmax))
+        excess = max(float(a @ energy) - l0, 0.0) + slack
+        if rel >= _GAP_MIN and 2 * np.sqrt(excess / (l1 - l0)) <= tol:
+            return True, rel, h
+        if step == _DUAL_STEPS:
+            break
+        mu, w = np.linalg.eigh(np.tensordot(a, basis_perp, axes=1))
+        weights = np.exp(-(mu - mu[0]) / (0.05 * max(mu[-1] - mu[0], 1e-12)))
+        smoothed = (w * (weights / weights.sum())) @ w.conj().T
+        grad = np.einsum("nij,ji->n", basis_perp, smoothed).real - energy
+        grad -= (grad @ a) * a
+        norm = float(np.linalg.norm(grad))
+        if norm < 1e-15:
+            break
+        a = a + 0.5 * 0.9 ** step * grad / norm
+        a /= np.linalg.norm(a)
+    return False, rel, h
+
+
+class _FaceOperator:
+    """The marginal constraints on ``E`` for states ``V E V^+`` on ``K``.
+
+    ``rows``, ``target`` and ``weights`` mean what they mean on
+    :class:`ConstraintOperator`, in the :func:`herm_to_vec` coordinates of
+    the k x k matrix ``E``, so the restart loop runs on it unchanged. The
+    restricted map is scaled by the square roots of the weights and
+    factored as ``U S W^T``, keeping the singular values that reach
+    ``_GAP_MIN``: ``rows = W^T``, ``target = S^-1 U^T (sqrt(w) c)`` and
+    ``weights = S^2``, so the weighted residual of ``E`` is the one
+    ``ConstraintOperator`` measures on ``V E V^+``.
+    """
+
+    project_vec = ConstraintOperator.project_vec
+    project_kernel = ConstraintOperator.project_kernel
+
+    def __init__(self, op: ConstraintOperator, basis: np.ndarray):
+        sqrt_w = np.sqrt(op.weights)
+        u, s, wt = np.linalg.svd(sqrt_w[:, None] * _restricted_map(op, basis),
+                                 full_matrices=False)
+        keep = s >= _GAP_MIN
+        self.total_dim = basis.shape[1]
+        self.rows = wt[keep]
+        self.target = u[:, keep].T @ (sqrt_w * op.target) / s[keep]
+        self.weights = s[keep] ** 2
+
+
+def _lift(x: np.ndarray, basis: np.ndarray | None) -> np.ndarray:
+    """``V x V^+``; ``x`` itself when the restarts ran on the whole space."""
+    return x if basis is None else basis @ x @ basis.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +666,14 @@ def _as_density(w: np.ndarray, signature: PartySignature) -> DensityMatrix:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """Per-restart outcome of the multi-start probe."""
+    """Per-restart outcome of the multi-start probe.
+
+    ``outcome`` is ``"returned_reference"`` (converged within the
+    distinctness tolerance of the reference), ``"witness"`` (led to a
+    verified distinct state), ``"not_converged"`` (stopped by the iteration
+    cap without a witness) or ``"inconclusive"`` (converged away from the
+    reference without a witness).
+    """
 
     outcome: str
     converged: bool
@@ -565,14 +692,19 @@ class FeasibilityVerdict:
     to within the convergence tolerance and the distinct ones are separated
     from the reference by more than the distinctness tolerance.
 
-    ``certified`` is True when the face certificate proved UNIQUE and every
+    ``certified`` is True when a certificate proved UNIQUE and every
     restart agreed with it. ``decided_by`` names the path that decided:
-    ``"certificate"`` (then ``certified``), ``"dykstra"`` (the restarts and,
-    for NON_UNIQUE, a verified witness) or ``"uncovered_party"`` (a party
-    outside every subset, rotated for an analytic witness).
-    ``certificate_gap`` is the smallest spectral gap or singular value that
-    the certificate compared against its threshold; it is None when no
-    certificate was attempted (an uncovered party).
+    ``"certificate"`` (the face certificate; then ``certified``),
+    ``"parent_hamiltonian"`` (the parent-Hamiltonian certificate; then
+    ``certified``), ``"dykstra"`` (the restarts and, for NON_UNIQUE, a
+    verified witness) or ``"uncovered_party"`` (a party outside every
+    subset, rotated for an analytic witness). ``certificate_gap`` is the
+    smallest spectral gap or singular value that the face certificate
+    compared against its threshold, or on the parent-Hamiltonian path the
+    relative gap ``(l1 - l0) / (lmax - l0)`` of the Hamiltonian; it is None
+    when no certificate was attempted (an uncovered party). ``face_dim`` is
+    the dimension of the space the restarts ran in: k when they ran on the
+    face ``K``, T when there was no reduction, None when no restart ran.
     """
 
     verdict: str
@@ -583,6 +715,7 @@ class FeasibilityVerdict:
     certified: bool = False
     decided_by: str = DECIDED_BY_DYKSTRA
     certificate_gap: float | None = None
+    face_dim: int | None = None
 
 
 def uniqueness_probe(pure_state: AmplitudeTensor,
@@ -591,17 +724,21 @@ def uniqueness_probe(pure_state: AmplitudeTensor,
                      rng: SeededRng | None = None) -> FeasibilityVerdict:
     """Decide whether the given marginals of a pure state pin it uniquely.
 
-    The face certificate is tried first; when it proves UNIQUE there is
-    no direction to perturb along, so every restart starts at the reference
-    and returns after one iteration, a cheap cross-check of the proof.
-    Otherwise starting points are the reference state perturbed along
-    random constraint-kernel directions (where any second consistent state
-    must live), reprojected by the solver. UNIQUE requires every restart to
-    come back to the reference within the distinctness tolerance;
-    NON_UNIQUE requires a directly verified distinct witness; everything
-    else is INCONCLUSIVE. A party not covered by any subset makes
-    uniqueness impossible: a local unitary there is an immediate analytic
-    witness.
+    The face certificate is tried first, and where no marginal has a
+    kernel the parent-Hamiltonian certificate; when either proves UNIQUE
+    there is no direction to perturb along, so every restart starts at the
+    reference and returns after one iteration, a cheap cross-check of the
+    proof. Otherwise starting points are the reference state perturbed
+    along random constraint-kernel directions (where any second consistent
+    state must live), reprojected by the solver; when the face certificate
+    read a proper subspace ``K`` without ambiguity, all of this runs on the
+    k x k matrices of ``Herm(K)``, and each outcome is lifted back to the
+    whole space before it is measured or verified. UNIQUE requires every
+    restart to converge back to the reference within the distinctness
+    tolerance; NON_UNIQUE requires a directly verified distinct witness;
+    everything else is INCONCLUSIVE. A party not covered by any subset
+    makes uniqueness impossible: a local unitary there is an immediate
+    analytic witness.
 
     ``rng`` overrides the restart randomness (used by the survey to give
     each trial its own substream); by default it derives from config.seed.
@@ -615,44 +752,58 @@ def uniqueness_probe(pure_state: AmplitudeTensor,
 
     constraints = MarginalConstraintSet.from_state(pure_state, subsets)
     op = ConstraintOperator(constraints)
-    proved, gap = _face_certificate(constraints, op, config.distinctness_tol)
+    tol = config.distinctness_tol
+    proved, gap, face, clear = _face_certificate(constraints, op, tol)
+    certified_by = DECIDED_BY_CERTIFICATE if proved else None
+    # K is the whole space exactly when no marginal has a kernel.
+    if not proved and face.shape[1] == op.total_dim:
+        held, dual_gap, _ = _parent_hamiltonian(pure_state.vector(), op, tol)
+        if held:
+            gap, certified_by = dual_gap, DECIDED_BY_PARENT_HAMILTONIAN
+    search, basis = op, None
+    if certified_by is None and clear:
+        search, basis = _FaceOperator(op, face), face
+    reference = rho.matrix if basis is None else basis.conj().T @ rho.matrix @ basis
     if rng is None:
         rng = SeededRng(config.seed)
 
-    if proved:
-        starts = [rho.matrix] * config.restarts
+    if certified_by:
+        starts = [reference] * config.restarts
     else:
-        starts = [_kernel_start(rho.matrix, op, rng.spawn(r), config)
+        starts = [_kernel_start(reference, search, rng.spawn(r), config)
                   for r in range(config.restarts)]
     outs, iters, conv = _dykstra_batch(
-        np.array(starts), op, config.max_iterations, config.convergence_tol)
+        np.array(starts), search, config.max_iterations, config.convergence_tol)
 
     runs: list[RunRecord] = []
     witnesses: list[np.ndarray] = []
     for i in range(config.restarts):
-        result = _result_from_run(outs[i], int(iters[i]), bool(conv[i]), op)
+        result = _result_from_run(_lift(outs[i], basis), int(iters[i]), bool(conv[i]), op)
         dist = trace_distance(result.matrix, rho.matrix)
-        outcome = RUN_INCONCLUSIVE
-        if dist <= config.distinctness_tol:
-            outcome = RETURNED_REFERENCE
+        # A restart stopped by the iteration cap proves nothing by where it
+        # stopped; only a verified witness can come of it.
+        if dist <= tol:
+            outcome = RETURNED_REFERENCE if result.converged else RUN_NOT_CONVERGED
         else:
-            polished = _certify(result.matrix, op)
+            outcome = RUN_INCONCLUSIVE if result.converged else RUN_NOT_CONVERGED
+            polished = _certify(outs[i], search)
             if polished is not None:
-                far = _pursue_far(rho.matrix, polished, op)
+                far = _lift(_pursue_far(reference, polished, search), basis)
                 if _verify_witness(far, op, config) and \
-                        trace_distance(far, rho.matrix) > config.distinctness_tol:
+                        trace_distance(far, rho.matrix) > tol:
                     witnesses.append(far)
                     outcome = WITNESS
         runs.append(RunRecord(outcome, result.converged, result.iterations,
                               dist, result.affine_residual, result.psd_residual))
 
+    face_dim = search.total_dim
     if witnesses:
         best = max(witnesses, key=lambda w: trace_distance(w, rho.matrix))
         listed = (rho, _as_density(best, signature))
-        return _finish(NON_UNIQUE, listed, op, runs, gap)
+        return _finish(NON_UNIQUE, listed, op, runs, gap, face_dim)
     if all(r.outcome == RETURNED_REFERENCE for r in runs):
-        return _finish(UNIQUE, (rho,), op, runs, gap, certified=proved)
-    return _finish(INCONCLUSIVE, (rho,), op, runs, gap)
+        return _finish(UNIQUE, (rho,), op, runs, gap, face_dim, certified_by)
+    return _finish(INCONCLUSIVE, (rho,), op, runs, gap, face_dim)
 
 
 def _kernel_start(reference: np.ndarray, op: ConstraintOperator, rng: SeededRng,
@@ -671,15 +822,15 @@ def _kernel_start(reference: np.ndarray, op: ConstraintOperator, rng: SeededRng,
 
 def _finish(verdict: str, witnesses: tuple[DensityMatrix, ...],
             op: ConstraintOperator, runs: list[RunRecord], gap: float,
-            certified: bool = False) -> FeasibilityVerdict:
+            face_dim: int, certified_by: str | None = None) -> FeasibilityVerdict:
     residual = max(op.marginal_residual(w.matrix) for w in witnesses)
     pairwise = tuple(
         trace_distance(witnesses[i].matrix, witnesses[j].matrix)
         for i in range(len(witnesses)) for j in range(i + 1, len(witnesses))
     )
-    decided_by = DECIDED_BY_CERTIFICATE if certified else DECIDED_BY_DYKSTRA
     return FeasibilityVerdict(verdict, witnesses, residual, pairwise, tuple(runs),
-                              certified, decided_by, gap)
+                              certified_by is not None, certified_by or DECIDED_BY_DYKSTRA,
+                              gap, face_dim)
 
 
 def _uncovered_verdict(state: AmplitudeTensor, rho: DensityMatrix,

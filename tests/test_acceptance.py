@@ -143,3 +143,12 @@ def test_c12_reproduce_determinism(tmp_path):
     assert _line("12", ok,
                  f"two runs, payloads identical (excluding timings): "
                  f"{payload1 == payload2}, exit codes {code1}/{code2}")
+
+
+def test_c13_oracle_four_qubit_pairs():
+    t0 = time.perf_counter()
+    ok, v = claims.oracle_four_qubit_pairs(seed=MASTER_SEED, spawn=13, trials=20)
+    elapsed = time.perf_counter() - t0
+    assert _line("13", ok,
+                 f"{v['certified']}/20 Haar 4-qubit states certified UNIQUE from "
+                 f"their pair marginals, runtime={elapsed:.2f}s")

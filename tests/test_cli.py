@@ -80,6 +80,7 @@ class TestCheck:
         assert oracle["max_marginal_residual"] < 1e-9
         assert oracle["certified"] is False and oracle["decided_by"] == "dykstra"
         assert oracle["certificate_gap"] < 1e-3
+        assert oracle["face_dim"] == 2
 
     def test_seeded_linear_split_exit_ok(self, tmp_path):
         out = tmp_path / "report.json"
@@ -118,6 +119,7 @@ class TestCheck:
         assert oracle["verdict"] == "UNIQUE"
         assert oracle["certified"] is True and oracle["decided_by"] == "certificate"
         assert oracle["certificate_gap"] >= 1e-3
+        assert oracle["face_dim"] == 8
         assert [r["iterations"] for r in oracle["runs"]] == [1] * 8
         # A (2,2,2) grouping sits below the M >= N+P-1 bound, so the linear
         # verdict may legitimately be DEGENERATE while the oracle says UNIQUE.

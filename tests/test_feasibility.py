@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from qmarginal import feasibility
 from qmarginal.feasibility import (
     _GAP_MIN,
     _GAP_ZERO,
@@ -15,6 +16,7 @@ from qmarginal.feasibility import (
     _dykstra_batch,
     _face_certificate,
     _on_parties,
+    _parent_hamiltonian,
     constraint_nullspace,
     dykstra_solve,
     genericity_survey,
@@ -262,6 +264,7 @@ class TestUniquenessProbe:
         assert verdict.verdict == NON_UNIQUE
         assert not verdict.certified and verdict.decided_by == "dykstra"
         assert verdict.certificate_gap < _GAP_MIN
+        assert verdict.face_dim == 2
         assert len(verdict.witnesses) >= 2
         rho = verdict.witnesses[0]
         witness = verdict.witnesses[1]
@@ -295,6 +298,7 @@ class TestUniquenessProbe:
         assert verdict.pairwise_distances[0] > 1e-4
         assert verdict.decided_by == "uncovered_party"
         assert not verdict.certified and verdict.certificate_gap is None
+        assert verdict.face_dim is None
 
     def test_non_unique_verdict_invariant(self):
         verdict = uniqueness_probe(ghz_state(3), PAIRS3, ProjectionConfig(seed=2))
@@ -305,6 +309,55 @@ class TestUniquenessProbe:
         for w in verdict.witnesses:
             assert abs(np.trace(w.matrix).real - 1.0) < 1e-10
             assert np.linalg.eigvalsh(w.matrix)[0] >= -1e-10
+
+    @pytest.mark.parametrize("a", [None, 0.3, 0.55, 0.8])
+    def test_ghz_family_restarts_run_on_the_face(self, a):
+        # K = span{|000>, |111>}: the restarts run on 2 x 2 matrices, and the
+        # lifted witness is checked here in the full space, from partial
+        # traces computed by loops.
+        state = ghz_state(3, a)
+        verdict = uniqueness_probe(state, PAIRS3, ProjectionConfig(seed=4))
+        assert verdict.verdict == NON_UNIQUE and verdict.face_dim == 2
+        rho, witness = verdict.witnesses[0].matrix, verdict.witnesses[1].matrix
+        assert witness.shape == (8, 8)
+        for subset in PAIRS3:
+            diff = slow_partial_trace(witness, (2, 2, 2), subset) - \
+                slow_partial_trace(rho, (2, 2, 2), subset)
+            assert np.linalg.norm(diff) < 1e-9
+        assert abs(np.trace(witness) - 1.0) <= 1e-9
+        assert np.abs(witness - witness.conj().T).max() <= 1e-9
+        assert np.linalg.eigvalsh(witness)[0] >= -1e-9
+        assert trace_distance(witness, rho) > 1e-4
+
+    def test_capped_restart_is_not_a_return(self, monkeypatch):
+        # A restart stopped by the iteration cap at the reference says
+        # nothing; the uncertified probe must not call that UNIQUE.
+        state = ambiguous_state()
+        config = ProjectionConfig(seed=1, restarts=2, max_iterations=300)
+
+        def capped(starts, op, max_iterations, tol):
+            reference = to_density(state).matrix
+            n = len(starts)
+            return (np.array([reference] * n), np.full(n, max_iterations),
+                    np.zeros(n, dtype=bool))
+
+        monkeypatch.setattr(feasibility, "_dykstra_batch", capped)
+        verdict = uniqueness_probe(state, PAIRS3, config)
+        assert not verdict.certified
+        assert [r.outcome for r in verdict.runs] == ["not_converged"] * 2
+        assert verdict.verdict == INCONCLUSIVE
+
+    def test_witness_stable_under_one_ulp_jacobian_change(self, monkeypatch):
+        config = ProjectionConfig(seed=3)
+        base = uniqueness_probe(ghz_state(3), PAIRS3, config).witnesses[1].matrix
+        lstsq = np.linalg.lstsq
+
+        def scaled(a, b, rcond=None):
+            return lstsq(a * (1 + 2.0 ** -52), b, rcond=rcond)
+
+        monkeypatch.setattr(np.linalg, "lstsq", scaled)
+        moved = uniqueness_probe(ghz_state(3), PAIRS3, config).witnesses[1].matrix
+        assert np.abs(moved - base).max() <= 1e-12
 
 
 class TestProjectionConfig:
@@ -368,8 +421,19 @@ class TestGenericitySurvey:
 
 
 def certificate(state, subsets, tol=1e-4):
+    """``(holds, gap)`` of the face certificate."""
     cs = MarginalConstraintSet.from_state(state, subsets)
-    return _face_certificate(cs, ConstraintOperator(cs), tol)
+    return _face_certificate(cs, ConstraintOperator(cs), tol)[:2]
+
+
+def ambiguous_state(eps=1e-6):
+    """Schmidt weights (1 - eps, eps) across AB|C put eps in the spectrum of
+    the AB marginal, inside the band that reads neither as zero nor as
+    support."""
+    q, _ = np.linalg.qr(SeededRng(99).complex_normal((4, 4)))
+    vec = np.sqrt(1 - eps) * np.kron(q[:, 0], [1, 0]) + \
+        np.sqrt(eps) * np.kron(q[:, 1], [0, 1])
+    return AmplitudeTensor.from_vector(vec, [2, 2, 2])
 
 
 class TestFaceCertificate:
@@ -394,6 +458,7 @@ class TestFaceCertificate:
         assert verdict.verdict == UNIQUE
         assert verdict.certified and verdict.decided_by == "certificate"
         assert verdict.certificate_gap >= _GAP_MIN
+        assert verdict.face_dim == int(np.prod(dims))
         # The restarts start at the reference and cross-check in one step.
         assert [r.iterations for r in verdict.runs] == [1] * config.restarts
         # The full path: starts pushed along the constraint kernel all come back.
@@ -437,19 +502,59 @@ class TestFaceCertificate:
         assert check_linear_uniqueness(state).verdict != UNIQUE_LINEAR
 
     def test_ambiguous_marginal_eigenvalue_falls_back_to_dykstra(self):
-        # Schmidt weights (1 - eps, eps) across AB|C put eps in the spectrum
-        # of the AB marginal, inside the band that reads neither as zero
-        # nor as support.
         eps = 1e-6
         assert _GAP_ZERO < eps < _GAP_MIN
-        q, _ = np.linalg.qr(SeededRng(99).complex_normal((4, 4)))
-        vec = np.sqrt(1 - eps) * np.kron(q[:, 0], [1, 0]) + \
-            np.sqrt(eps) * np.kron(q[:, 1], [0, 1])
-        state = AmplitudeTensor.from_vector(vec, [2, 2, 2])
+        state = ambiguous_state(eps)
         holds, gap = certificate(state, PAIRS3)
         assert not holds and abs(gap - eps) < 1e-9
         config = ProjectionConfig(seed=1, restarts=2, max_iterations=300)
         verdict = uniqueness_probe(state, PAIRS3, config)
         assert not verdict.certified and verdict.decided_by == "dykstra"
         assert verdict.certificate_gap == gap
+        # The whole-space path: an ambiguous value forbids the face.
+        assert verdict.face_dim == 8
         assert all(r.iterations > 1 for r in verdict.runs)
+
+
+def parent_hamiltonian(state, subsets, tol=1e-4):
+    cs = MarginalConstraintSet.from_state(state, subsets)
+    return _parent_hamiltonian(state.vector(), ConstraintOperator(cs), tol)
+
+
+class TestParentHamiltonian:
+    @pytest.mark.parametrize("seed", [1000, 1001, 1002])
+    def test_certificate_is_a_local_gapped_parent_hamiltonian(self, seed):
+        state = haar([2, 2, 2, 2], seed)
+        holds, gap, h = parent_hamiltonian(state, PAIRS4)
+        assert holds
+        # Local: orthogonal to every operator no pair marginal sees.
+        for x in constraint_nullspace(PartySignature([2] * 4), PAIRS4):
+            assert abs(np.trace(h @ x)) < 1e-12
+        psi = state.vector()
+        energy = psi.conj() @ h @ psi
+        assert np.abs(h @ psi - energy * psi).max() < 1e-12
+        vals = np.linalg.eigvalsh(h)
+        assert abs(vals[0] - energy.real) < 1e-12
+        assert (vals[1] - vals[0]) / (vals[-1] - vals[0]) >= _GAP_MIN
+        assert gap >= _GAP_MIN
+
+    def test_probe_certifies_four_qubit_pairs(self):
+        config = ProjectionConfig(seed=1)
+        verdict = uniqueness_probe(haar([2, 2, 2, 2], 1003), PAIRS4, config)
+        assert verdict.verdict == UNIQUE and verdict.certified
+        assert verdict.decided_by == "parent_hamiltonian"
+        assert verdict.certificate_gap >= _GAP_MIN
+        assert verdict.face_dim == 16
+        assert [r.iterations for r in verdict.runs] == [1] * config.restarts
+
+    def test_certifies_almost_every_haar_state(self):
+        held = sum(parent_hamiltonian(haar([2, 2, 2, 2], seed), PAIRS4)[0]
+                   for seed in range(1000, 1040))
+        assert held >= 38
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("a", [None, 0.3, 0.55, 0.8])
+    def test_ghz_family_never_certified(self, a, n):
+        holds, gap, _ = parent_hamiltonian(ghz_state(n, a),
+                                           list(itertools.combinations(range(n), 2)))
+        assert not holds and gap < _GAP_MIN
