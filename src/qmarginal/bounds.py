@@ -3,12 +3,15 @@ states can determine an n-party pure state.
 
 The lower bound compares the number of real parameters carried by all
 reduced states of up to k parties (exact integer counting over the product
-operator basis) against the parameter count of pure states. Asymptotically
-the comparison becomes a transcendental condition in the fraction
-``alpha = k/n`` whose unique root in (0, 1/2] is the bound; it is about
-0.189 for qubits and grows toward 1/2 with the local dimension. The upper
-bound comes from the constructive tripartite splitting and is the fraction
-(2m+1)/(3m+1), decreasing toward 2/3.
+operator basis) against the parameter count of pure states. The counts for
+k = 1, 2, ... come from one running sum of exact integers, each step one
+binomial update of the previous term, so the first k counts cost O(k)
+big-integer operations. Asymptotically the comparison becomes a
+transcendental condition in the fraction ``alpha = k/n`` whose unique root
+in (0, 1/2] is the bound; it is about 0.189 for qubits and grows toward
+1/2 with the local dimension. The upper bound comes from the constructive
+tripartite splitting and is the fraction (2m+1)/(3m+1), decreasing toward
+2/3.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ __all__ = [
     "AlphaSolution",
     "count_reduced_params",
     "pure_param_count",
-    "geometric_bound",
     "binary_entropy",
     "solve_alpha_lower",
     "finite_n_lower_fraction",
@@ -64,19 +66,37 @@ class AlphaSolution:
             raise ValueError("alpha must lie inside its bracket")
 
 
+def _running_counts(n: int, d: int):
+    """Yield ``(k, count_reduced_params(n, k, d))`` for k = 1..n.
+
+    The term ``C(n,r) q^r`` follows from the previous one as
+    ``term * (n-r+1) // r * q``; the division is exact because
+    ``C(n,r-1) (n-r+1) = r C(n,r)``.
+    """
+    q = d * d - 1
+    term = 1
+    total = 0
+    for r in range(1, n + 1):
+        term = term * (n - r + 1) // r * q
+        total += term
+        yield r, total
+
+
 def count_reduced_params(n: int, k: int, d: int) -> int:
     """Real parameters in all reduced states of up to k of n d-level parties.
 
     Each reduced state of r parties contributes the coefficients of the
     (d^2-1)-element traceless local basis on its r slots, so the total is
-    ``sum_{r=1}^{k} C(n,r) (d^2-1)^r``, evaluated exactly.
+    ``sum_{r=1}^{k} C(n,r) (d^2-1)^r``. It is evaluated exactly as a running
+    sum with O(k) big-integer operations.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     if d < 2:
         raise ValueError("d must be >= 2")
-    q = d * d - 1
-    return sum(math.comb(n, r) * q ** r for r in range(1, k + 1))
+    for r, total in _running_counts(n, d):
+        if r == k:
+            return total
 
 
 def pure_param_count(n: int, d: int) -> int:
@@ -84,26 +104,6 @@ def pure_param_count(n: int, d: int) -> int:
     if n < 1 or d < 2:
         raise ValueError("need n >= 1 and d >= 2")
     return 2 * d ** n - 2
-
-
-def geometric_bound(n: int, alpha: float, d: int = 2) -> float:
-    """Closed-form upper bound on :func:`count_reduced_params` at k = floor(n*alpha).
-
-    Bounds the sum by a geometric series: with q = d^2 - 1 the term ratio is
-    at most alpha / (q (1 - alpha)), so the sum is below
-    ``C(n, k) q^k * q(1-alpha) / (q(1-alpha) - alpha)``. Requires
-    ``alpha < q / (q+1)`` for the series to converge (3/4 for qubits).
-    """
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    q = d * d - 1
-    if not 0.0 < alpha < q / (q + 1.0):
-        raise ValueError(f"alpha must be in (0, {q/(q+1.0)}) for d={d}, got {alpha}")
-    k = math.floor(n * alpha)
-    if k == 0:
-        return 0.0
-    tail = q * (1.0 - alpha) / (q * (1.0 - alpha) - alpha)
-    return float(math.comb(n, k) * q ** k) * tail
 
 
 def binary_entropy(x: float) -> float:
@@ -157,8 +157,8 @@ def finite_n_lower_fraction(n: int, d: int = 2) -> tuple[int, float]:
     root as n grows.
     """
     target = pure_param_count(n, d)
-    for k in range(1, n + 1):
-        if count_reduced_params(n, k, d) >= target:
+    for k, count in _running_counts(n, d):
+        if count >= target:
             return k, k / n
     raise AssertionError("unreachable: k = n always suffices")
 
@@ -166,10 +166,14 @@ def finite_n_lower_fraction(n: int, d: int = 2) -> tuple[int, float]:
 def bounds_rows(n: int, d: int, k_max: int | None = None) -> list[BoundsRow]:
     """Comparison rows for k = 1.. up to the first sufficient k (or k_max)."""
     target = pure_param_count(n, d)
+    if k_max is not None and k_max > n:
+        raise ValueError(f"need k_max <= n, got k_max={k_max}, n={n}")
     rows = []
     limit = k_max if k_max is not None else n
-    for k in range(1, limit + 1):
-        rows.append(BoundsRow(n, d, k, count_reduced_params(n, k, d), target))
+    for k, count in _running_counts(n, d):
+        if k > limit:
+            break
+        rows.append(BoundsRow(n, d, k, count, target))
         if k_max is None and rows[-1].sufficient_by_count:
             break
     return rows

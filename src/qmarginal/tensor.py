@@ -320,11 +320,16 @@ def rank_and_nullspace(matrix: np.ndarray, tol: float | None = None,
     The zero threshold is ``max(rows, cols) * eps * sigma_max`` unless an
     absolute ``tol`` or relative ``rtol`` (times ``sigma_max``) is supplied.
     Returns ``(rank, null_basis)`` where the basis columns span the kernel.
+
+    The kernel is read off ``V``, never ``U``. A tall or square matrix's thin
+    SVD already holds all of ``V`` (cols x cols), so the rows x rows ``U`` of
+    a full SVD is never built; only a wide matrix, whose thin ``V`` has just
+    ``rows`` rows, takes the full ``V``.
     """
     m = np.atleast_2d(np.asarray(matrix))
     if m.size == 0:
         raise ValueError("empty matrix")
-    _, s, vh = np.linalg.svd(m)
+    _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
     smax = s[0] if s.size else 0.0
     if tol is not None:
         threshold = float(tol)

@@ -9,11 +9,40 @@ from qmarginal.bounds import (
     bounds_rows,
     count_reduced_params,
     finite_n_lower_fraction,
-    geometric_bound,
     pure_param_count,
     solve_alpha_lower,
 )
 from fractions import Fraction
+
+
+def geometric_bound(n: int, alpha: float, d: int = 2) -> float:
+    """Closed-form upper bound on ``count_reduced_params`` at k = floor(n*alpha),
+    an independent oracle for the exact sum.
+
+    Bounds the sum by a geometric series: with q = d^2 - 1 the term ratio is
+    at most alpha / (q (1 - alpha)), so the sum is below
+    ``C(n, k) q^k * q(1-alpha) / (q(1-alpha) - alpha)``. Requires
+    ``alpha < q / (q+1)`` for the series to converge (3/4 for qubits).
+    """
+    q = d * d - 1
+    if not 0.0 < alpha < q / (q + 1.0):
+        raise ValueError(f"alpha must be in (0, {q/(q+1.0)}) for d={d}, got {alpha}")
+    k = math.floor(n * alpha)
+    if k == 0:
+        return 0.0
+    tail = q * (1.0 - alpha) / (q * (1.0 - alpha) - alpha)
+    return float(math.comb(n, k) * q ** k) * tail
+
+
+def brute_count(n: int, k: int, d: int) -> int:
+    """The reduced-parameter count summed term by term with ``math.comb``."""
+    return sum(math.comb(n, r) * (d * d - 1) ** r for r in range(1, k + 1))
+
+
+def brute_minimal_k(n: int, d: int) -> int:
+    target = 2 * d ** n - 2
+    return next(k for k in range(1, n + 1) if brute_count(n, k, d) >= target)
+
 
 # Frozen from direct evaluation (bisection residuals ~1e-15).
 ALPHA_QUBIT = 0.189290
@@ -56,6 +85,20 @@ class TestCountReducedParams:
         with pytest.raises(ValueError):
             count_reduced_params(3, 4, 2)
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_running_sum_matches_brute_force_everywhere(self, d):
+        # Every k of every n <= 60, through all three entry points.
+        for n in range(1, 61):
+            target = 2 * d ** n - 2
+            for k in range(1, n + 1):
+                assert count_reduced_params(n, k, d) == brute_count(n, k, d), (n, k)
+            rows = bounds_rows(n, d, k_max=n)
+            assert [(r.k, r.reduced_param_count, r.pure_param_count) for r in rows] == \
+                [(k, brute_count(n, k, d), target) for k in range(1, n + 1)]
+            k_min = brute_minimal_k(n, d)
+            assert finite_n_lower_fraction(n, d) == (k_min, k_min / n)
+            assert [r.k for r in bounds_rows(n, d)] == list(range(1, k_min + 1))
+
 
 class TestPureParamCount:
     def test_examples(self):
@@ -68,6 +111,8 @@ class TestPureParamCount:
 
 
 class TestGeometricBound:
+    """The test-local geometric series bound dominates the exact count."""
+
     def test_rejects_alpha_at_three_quarters(self):
         with pytest.raises(ValueError, match="alpha"):
             geometric_bound(20, 0.75, 2)
@@ -168,6 +213,11 @@ class TestFiniteNLowerFraction:
         assert all(b <= a for a, b in zip(fracs, fracs[1:]))
         assert fracs[-1] == pytest.approx(17 / 80)
 
+    @pytest.mark.parametrize("n, d", [(900, 2), (1300, 3)])
+    def test_large_n_matches_brute_force_minimal_k(self, n, d):
+        k_min = brute_minimal_k(n, d)
+        assert finite_n_lower_fraction(n, d) == (k_min, k_min / n)
+
 
 class TestBoundsRows:
     def test_three_qubit_transition(self):
@@ -175,6 +225,10 @@ class TestBoundsRows:
         assert [(r.k, r.reduced_param_count, r.sufficient_by_count) for r in rows] == \
             [(1, 9, False), (2, 36, True)]
         assert rows[0].pure_param_count == 14
+
+    def test_k_max_beyond_n_rejected(self):
+        with pytest.raises(ValueError, match="k_max"):
+            bounds_rows(3, 2, k_max=4)
 
 
 class TestAlphaUpperTable:

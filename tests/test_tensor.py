@@ -21,6 +21,8 @@ from qmarginal.tensor import (
     vec_to_herm,
 )
 
+from qmarginal.uniqueness import DEFAULT_RANK_RTOL, build_consistency_matrix
+
 from conftest import PAULI, ghz_state, kron_all, random_density, random_hermitian, slow_partial_trace
 
 # Mean single-party purity of Haar 3-qubit states, computed by brute-force
@@ -283,6 +285,54 @@ class TestRankAndNullspace:
         assert rank == 3
         assert np.allclose(basis.conj().T @ basis, np.eye(3), atol=1e-12)
         assert np.abs(m @ basis).max() < 1e-12
+
+
+def full_svd_reference(m, rtol=None):
+    """Rank and kernel from the full SVD (rows x rows ``U``), the same thresholds."""
+    _, s, vh = np.linalg.svd(m, full_matrices=True)
+    threshold = (rtol if rtol is not None else max(m.shape) * np.finfo(float).eps) * s[0]
+    rank = int(np.sum(s > threshold))
+    return rank, vh[rank:].conj().T
+
+
+def kernel_projector(basis):
+    return basis @ np.linalg.pinv(basis)
+
+
+class TestRankAndNullspaceThinSvd:
+    """The thin SVD gives the full SVD's rank and kernel on tall matrices; a
+    wide matrix still gets its whole kernel."""
+
+    def assert_matches_reference(self, m, rtol=None):
+        rank, basis = rank_and_nullspace(m, rtol=rtol)
+        ref_rank, ref_basis = full_svd_reference(m, rtol=rtol)
+        assert rank == ref_rank
+        assert basis.shape == ref_basis.shape == (m.shape[1], m.shape[1] - rank)
+        assert np.abs(basis.conj().T @ basis - np.eye(basis.shape[1])).max() < 1e-12
+        assert np.abs(kernel_projector(basis) - kernel_projector(ref_basis)).max() < 1e-12
+        return rank
+
+    def test_haar_27x9x9_consistency_matrix(self):
+        state = haar_random_state(PartySignature([27, 9, 9]), SeededRng(61))
+        m = build_consistency_matrix(state).matrix
+        assert m.shape == (2187, 162)
+        assert self.assert_matches_reference(m, rtol=DEFAULT_RANK_RTOL) == 161
+
+    @pytest.mark.parametrize("rows, cols, rank", [(40, 12, 7), (30, 30, 11), (64, 9, 1),
+                                                  (20, 16, 15)])
+    def test_random_rank_deficient_tall(self, np_rng, rows, cols, rank):
+        left = np_rng.standard_normal((rows, rank)) + 1j * np_rng.standard_normal((rows, rank))
+        right = np_rng.standard_normal((rank, cols)) + 1j * np_rng.standard_normal((rank, cols))
+        assert self.assert_matches_reference(left @ right) == rank
+
+    def test_wide_rank_deficient_returns_whole_kernel(self, np_rng):
+        # A thin SVD's V has only `rows` rows here, too few for a 13-dim kernel.
+        m = np_rng.standard_normal((6, 4)) @ np_rng.standard_normal((4, 17))
+        rank, basis = rank_and_nullspace(m)
+        assert rank == 4
+        assert basis.shape == (17, 13)
+        assert np.abs(m @ basis).max() < 1e-12
+        assert self.assert_matches_reference(m) == 4
 
 
 class TestHermVec:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmarginal.tensor import AmplitudeTensor, PartySignature, SeededRng, haar_random_state
 from qmarginal.uniqueness import (
@@ -129,6 +131,32 @@ class TestCheckLinearUniqueness:
             for t in range(50)
         )
         assert hits == 50
+
+
+def haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
+    """QR of a complex Ginibre matrix with the phases of R's diagonal divided out."""
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+class TestLocalUnitaryInvariance:
+    """Verdict and kernel dimension are properties of the local-unitary orbit."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(shape=st.sampled_from([(4, 2, 2), (8, 4, 4)]),
+           state_seed=st.integers(0, 2 ** 32 - 1),
+           unitary_seed=st.integers(0, 2 ** 32 - 1),
+           degenerate=st.booleans())
+    def test_verdict_and_null_dim_invariant(self, shape, state_seed, unitary_seed, degenerate):
+        state = ghz_type(shape) if degenerate else haar(shape, state_seed)
+        rng = np.random.default_rng(unitary_seed)
+        u_a, u_b, u_c = (haar_unitary(rng, d) for d in shape)
+        rotated = np.einsum("ai,bj,ck,ijk->abc", u_a, u_b, u_c, state.amplitudes)
+        rotated = rotated / np.linalg.norm(rotated)
+        before = check_linear_uniqueness(state)
+        after = check_linear_uniqueness(AmplitudeTensor(PartySignature(shape), rotated))
+        assert before.verdict == (DEGENERATE if degenerate else UNIQUE_LINEAR)
+        assert (after.verdict, after.null_dim) == (before.verdict, before.null_dim)
 
 
 class TestSequentialElimination:
