@@ -78,10 +78,21 @@ def state_to_json(state: AmplitudeTensor) -> str:
 
 def state_from_json(text: str) -> AmplitudeTensor:
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise UsageError(f"a state file holds a JSON object, not {type(data).__name__}")
     if data.get("schema") != STATE_SCHEMA:
         raise UsageError(f"unsupported state schema {data.get('schema')!r}")
+    for key in ("dims", "amplitudes"):
+        if key not in data:
+            raise UsageError(f"state file has no {key!r} field")
     dims = data["dims"]
-    amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
+    if not isinstance(dims, list) or not all(isinstance(d, int) for d in dims):
+        raise UsageError(f"state field 'dims' must be a list of integers, not {dims!r}")
+    try:
+        amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
+    except (TypeError, ValueError):
+        raise UsageError("state field 'amplitudes' must be a list of [re, im] "
+                         "number pairs") from None
     return AmplitudeTensor.from_vector(amps, dims)
 
 

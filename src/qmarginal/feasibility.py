@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -72,14 +72,11 @@ __all__ = [
     "MarginalConstraintSet",
     "ProjectionConfig",
     "ConstraintOperator",
-    "DykstraResult",
     "RunRecord",
     "FeasibilityVerdict",
     "SurveyStats",
     "constraint_nullspace",
-    "project_affine",
     "project_psd",
-    "dykstra_solve",
     "uniqueness_probe",
     "genericity_survey",
 ]
@@ -98,6 +95,10 @@ DECIDED_BY_PARENT_HAMILTONIAN = "parent_hamiltonian"
 DECIDED_BY_DYKSTRA = "dykstra"
 DECIDED_BY_UNCOVERED = "uncovered_party"
 
+# Trace distance beyond which a consistent state counts as distinct from the
+# reference, and the length of the kernel step that moves each restart's start.
+_DISTINCTNESS_TOL = 1e-4
+_PERTURBATION_SCALE = 0.1
 _CERT_TOL = 1e-11          # Gauss-Newton residual needed to accept a witness
 _PSD_VERIFY_ATOL = 1e-10   # witness eigenvalue floor at verification
 # Face certificate: a marginal or support-sum eigenvalue at or below
@@ -153,32 +154,40 @@ class MarginalConstraintSet:
             cons.append((key, DensityMatrix(state.signature.subsystem(key), reduced)))
         return cls(state.signature, cons)
 
-    @property
-    def subsets(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(s for s, _ in self.constraints)
-
     def covered_parties(self) -> set[int]:
         return set(p for s, _ in self.constraints for p in s)
+
+    def marginal_residual(self, x_mat: np.ndarray) -> float:
+        """Max Frobenius distance of constrained partial traces from targets."""
+        worst = 0.0
+        for subset, target in self.constraints:
+            diff = partial_trace_matrix(x_mat, self.signature.dims, subset) - target.matrix
+            worst = max(worst, float(np.linalg.norm(diff)))
+        return worst
 
 
 @dataclass(frozen=True)
 class ProjectionConfig:
-    """Knobs of the alternating-projection search."""
+    """Knobs of the alternating-projection search.
+
+    ``max_iterations`` caps each restart's Dykstra cycles, ``convergence_tol``
+    is the trace-norm step at which a restart stops (and the marginal
+    residual a witness must reach), ``restarts`` is the number of starting
+    points and ``seed`` derives their randomness. The distinctness tolerance
+    and the length of the starting kernel step are the module constants
+    ``_DISTINCTNESS_TOL`` and ``_PERTURBATION_SCALE``.
+    """
 
     max_iterations: int = 5000
     convergence_tol: float = 1e-9
-    distinctness_tol: float = 1e-4
     restarts: int = 8
-    perturbation_scale: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
         if self.max_iterations < 1 or self.restarts < 1:
             raise ValueError("max_iterations and restarts must be positive")
-        if min(self.convergence_tol, self.distinctness_tol, self.perturbation_scale) <= 0:
-            raise ValueError("tolerances and perturbation scale must be positive")
-        if self.convergence_tol >= self.distinctness_tol:
-            raise ValueError("convergence_tol must be smaller than distinctness_tol")
+        if not 0 < self.convergence_tol < _DISTINCTNESS_TOL:
+            raise ValueError(f"convergence_tol must lie in (0, {_DISTINCTNESS_TOL:g})")
 
 
 class ConstraintOperator:
@@ -235,14 +244,6 @@ class ConstraintOperator:
         g = g - (g @ self.rows.T) @ self.rows
         return vec_to_herm(g, self.total_dim)
 
-    def marginal_residual(self, x_mat: np.ndarray) -> float:
-        """Max Frobenius distance of constrained partial traces from targets."""
-        worst = 0.0
-        for subset, target in self.constraints.constraints:
-            diff = partial_trace_matrix(x_mat, self.dims, subset) - target.matrix
-            worst = max(worst, float(np.linalg.norm(diff)))
-        return worst
-
 
 def _labels_within(dims: Sequence[int], subset: Sequence[int]):
     """Product-operator labels whose support lies inside ``subset``."""
@@ -268,29 +269,16 @@ def constraint_nullspace(signature: PartySignature,
     return product_operators(dims, free)
 
 
-def project_affine(x_mat: np.ndarray, constraints: MarginalConstraintSet) -> np.ndarray:
-    """Hilbert-Schmidt-orthogonal projection onto the affine constraint set.
-
-    For an inconsistent (empty) constraint set this is the least-squares
-    analogue; inspect ``ConstraintOperator.marginal_residual`` of the output
-    to detect that case.
-    """
-    return ConstraintOperator(constraints).project(np.asarray(x_mat, dtype=complex))
+def _project_psd_batch(x: np.ndarray) -> np.ndarray:
+    vals, vecs = np.linalg.eigh(x)
+    vals = np.maximum(vals, 0.0)
+    return (vecs * vals[..., None, :]) @ np.swapaxes(vecs.conj(), -2, -1)
 
 
 def project_psd(x_mat: np.ndarray) -> np.ndarray:
     """Nearest positive-semidefinite matrix in Frobenius norm (eigenvalue clip)."""
     x = np.asarray(x_mat, dtype=complex)
-    x = (x + x.conj().T) / 2
-    vals, vecs = np.linalg.eigh(x)
-    vals = np.maximum(vals, 0.0)
-    return (vecs * vals) @ vecs.conj().T
-
-
-def _project_psd_batch(x: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(x)
-    vals = np.maximum(vals, 0.0)
-    return (vecs * vals[..., None, :]) @ np.swapaxes(vecs.conj(), -2, -1)
+    return _project_psd_batch((x + x.conj().T) / 2)
 
 
 def _dykstra_batch(starts: np.ndarray, op: ConstraintOperator,
@@ -338,43 +326,6 @@ def _dykstra_batch(starts: np.ndarray, op: ConstraintOperator,
         converged[finished] = True
         active[finished] = False
     return out, iterations, converged
-
-
-@dataclass(frozen=True)
-class DykstraResult:
-    """Last PSD-side iterate of an alternating-projection run with residuals.
-
-    ``matrix`` is positive semidefinite up to eigenvalue rounding; its
-    distance from the affine set is ``affine_residual`` (Frobenius). On a
-    non-converged run the result is the INCONCLUSIVE marker: ``converged``
-    is False and the residuals describe how far the run got.
-    """
-
-    matrix: np.ndarray = field(repr=False)
-    converged: bool
-    iterations: int
-    affine_residual: float
-    psd_residual: float
-    marginal_residual: float
-
-
-def dykstra_solve(start: np.ndarray, constraints: MarginalConstraintSet,
-                  config: ProjectionConfig = ProjectionConfig()) -> DykstraResult:
-    """Project a Hermitian starting point toward the marginal-consistent
-    density matrices by Dykstra-corrected alternating projections."""
-    op = ConstraintOperator(constraints)
-    outs, iters, conv = _dykstra_batch(
-        np.asarray(start, dtype=complex)[None, :, :], op,
-        config.max_iterations, config.convergence_tol)
-    return _result_from_run(outs[0], int(iters[0]), bool(conv[0]), op)
-
-
-def _result_from_run(y: np.ndarray, iterations: int, converged: bool,
-                     op: ConstraintOperator) -> DykstraResult:
-    affine = float(np.linalg.norm(op.project(y) - y))
-    psd = max(0.0, -float(np.linalg.eigvalsh(y)[0]))
-    return DykstraResult(y, converged, iterations, affine, psd,
-                         op.marginal_residual(y))
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +601,7 @@ def _pursue_far(reference: np.ndarray, witness: np.ndarray,
 
 def _verify_witness(w: np.ndarray, op: ConstraintOperator,
                     config: ProjectionConfig) -> bool:
-    if op.marginal_residual(w) > config.convergence_tol:
+    if op.constraints.marginal_residual(w) > config.convergence_tol:
         return False
     if abs(float(np.trace(w).real) - 1.0) > 1e-9:
         return False
@@ -672,15 +623,16 @@ class RunRecord:
     distinctness tolerance of the reference), ``"witness"`` (led to a
     verified distinct state), ``"not_converged"`` (stopped by the iteration
     cap without a witness) or ``"inconclusive"`` (converged away from the
-    reference without a witness).
+    reference without a witness). ``converged`` and ``iterations`` are the
+    Dykstra run's stop flag and cycle count; ``distance`` is the trace
+    distance of its last PSD-side iterate, lifted to the whole space, from
+    the reference.
     """
 
     outcome: str
     converged: bool
     iterations: int
     distance: float
-    affine_residual: float
-    psd_residual: float
 
 
 @dataclass(frozen=True)
@@ -745,14 +697,13 @@ def uniqueness_probe(pure_state: AmplitudeTensor,
     """
     rho = to_density(pure_state)
     signature = pure_state.signature
-    uncovered = set(range(signature.n_parties)) - \
-        set(p for s in subsets for p in _subset_key(s))
-    if uncovered:
-        return _uncovered_verdict(pure_state, rho, subsets, min(uncovered), config)
-
     constraints = MarginalConstraintSet.from_state(pure_state, subsets)
+    uncovered = set(range(signature.n_parties)) - constraints.covered_parties()
+    if uncovered:
+        return _uncovered_verdict(pure_state, rho, constraints, min(uncovered), config)
+
     op = ConstraintOperator(constraints)
-    tol = config.distinctness_tol
+    tol = _DISTINCTNESS_TOL
     proved, gap, face, clear = _face_certificate(constraints, op, tol)
     certified_by = DECIDED_BY_CERTIFICATE if proved else None
     # K is the whole space exactly when no marginal has a kernel.
@@ -770,7 +721,7 @@ def uniqueness_probe(pure_state: AmplitudeTensor,
     if certified_by:
         starts = [reference] * config.restarts
     else:
-        starts = [_kernel_start(reference, search, rng.spawn(r), config)
+        starts = [_kernel_start(reference, search, rng.spawn(r))
                   for r in range(config.restarts)]
     outs, iters, conv = _dykstra_batch(
         np.array(starts), search, config.max_iterations, config.convergence_tol)
@@ -778,14 +729,14 @@ def uniqueness_probe(pure_state: AmplitudeTensor,
     runs: list[RunRecord] = []
     witnesses: list[np.ndarray] = []
     for i in range(config.restarts):
-        result = _result_from_run(_lift(outs[i], basis), int(iters[i]), bool(conv[i]), op)
-        dist = trace_distance(result.matrix, rho.matrix)
+        converged = bool(conv[i])
+        dist = trace_distance(_lift(outs[i], basis), rho.matrix)
         # A restart stopped by the iteration cap proves nothing by where it
         # stopped; only a verified witness can come of it.
         if dist <= tol:
-            outcome = RETURNED_REFERENCE if result.converged else RUN_NOT_CONVERGED
+            outcome = RETURNED_REFERENCE if converged else RUN_NOT_CONVERGED
         else:
-            outcome = RUN_INCONCLUSIVE if result.converged else RUN_NOT_CONVERGED
+            outcome = RUN_INCONCLUSIVE if converged else RUN_NOT_CONVERGED
             polished = _certify(outs[i], search)
             if polished is not None:
                 far = _lift(_pursue_far(reference, polished, search), basis)
@@ -793,8 +744,7 @@ def uniqueness_probe(pure_state: AmplitudeTensor,
                         trace_distance(far, rho.matrix) > tol:
                     witnesses.append(far)
                     outcome = WITNESS
-        runs.append(RunRecord(outcome, result.converged, result.iterations,
-                              dist, result.affine_residual, result.psd_residual))
+        runs.append(RunRecord(outcome, converged, int(iters[i]), dist))
 
     face_dim = search.total_dim
     if witnesses:
@@ -806,9 +756,9 @@ def uniqueness_probe(pure_state: AmplitudeTensor,
     return _finish(INCONCLUSIVE, (rho,), op, runs, gap, face_dim)
 
 
-def _kernel_start(reference: np.ndarray, op: ConstraintOperator, rng: SeededRng,
-                  config: ProjectionConfig) -> np.ndarray:
-    """The reference moved by ``perturbation_scale`` along a random
+def _kernel_start(reference: np.ndarray, op: ConstraintOperator,
+                  rng: SeededRng) -> np.ndarray:
+    """The reference moved by ``_PERTURBATION_SCALE`` along a random
     direction of the constraint kernel."""
     t = reference.shape[0]
     g = rng.complex_normal((t, t))
@@ -817,13 +767,13 @@ def _kernel_start(reference: np.ndarray, op: ConstraintOperator, rng: SeededRng,
     knorm = float(np.linalg.norm(kdir))
     if knorm < 1e-14:
         return reference.copy()
-    return reference + config.perturbation_scale * kdir / knorm
+    return reference + _PERTURBATION_SCALE * kdir / knorm
 
 
 def _finish(verdict: str, witnesses: tuple[DensityMatrix, ...],
             op: ConstraintOperator, runs: list[RunRecord], gap: float,
             face_dim: int, certified_by: str | None = None) -> FeasibilityVerdict:
-    residual = max(op.marginal_residual(w.matrix) for w in witnesses)
+    residual = max(op.constraints.marginal_residual(w.matrix) for w in witnesses)
     pairwise = tuple(
         trace_distance(witnesses[i].matrix, witnesses[j].matrix)
         for i in range(len(witnesses)) for j in range(i + 1, len(witnesses))
@@ -834,7 +784,7 @@ def _finish(verdict: str, witnesses: tuple[DensityMatrix, ...],
 
 
 def _uncovered_verdict(state: AmplitudeTensor, rho: DensityMatrix,
-                       subsets: Sequence[Sequence[int]], party: int,
+                       constraints: MarginalConstraintSet, party: int,
                        config: ProjectionConfig) -> FeasibilityVerdict:
     """Analytic witness: rotate an unconstrained party."""
     d = state.signature.dims[party]
@@ -850,16 +800,9 @@ def _uncovered_verdict(state: AmplitudeTensor, rho: DensityMatrix,
         rotated = np.tensordot(u, state.amplitudes, axes=([1], [party]))
         rotated = np.moveaxis(rotated, 0, party)
         other = to_density(AmplitudeTensor(state.signature, rotated))
-        if trace_distance(other, rho) > config.distinctness_tol:
-            residual = 0.0
-            dims = state.signature.dims
-            for subset in subsets:
-                key = _subset_key(subset)
-                diff = partial_trace_matrix(other.matrix, dims, key) - \
-                    partial_trace_matrix(rho.matrix, dims, key)
-                residual = max(residual, float(np.linalg.norm(diff)))
+        if trace_distance(other, rho) > _DISTINCTNESS_TOL:
             return FeasibilityVerdict(
-                NON_UNIQUE, (rho, other), residual,
+                NON_UNIQUE, (rho, other), constraints.marginal_residual(other.matrix),
                 (trace_distance(other, rho),), (), decided_by=DECIDED_BY_UNCOVERED)
     raise RuntimeError("could not rotate the uncovered party away from the state")
 

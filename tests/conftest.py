@@ -26,6 +26,12 @@ def random_hermitian(rng: np.random.Generator, t: int) -> np.ndarray:
     return g + g.conj().T
 
 
+def haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
+    """QR of a complex Ginibre matrix with the phases of R's diagonal divided out."""
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
 def random_density(rng: np.random.Generator, t: int) -> np.ndarray:
     g = rng.standard_normal((t, t)) + 1j * rng.standard_normal((t, t))
     rho = g @ g.conj().T

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qmarginal
 from qmarginal import cli
 from qmarginal.claims import CLAIMS
 from qmarginal.cli import (
@@ -292,6 +296,26 @@ class TestUsage:
                          "--subsets", "01,02,12"])
             assert code == EXIT_USAGE
             assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload,field", [
+        ({"schema": "qmarginal/state-v1"}, "'dims'"),
+        ({"schema": "qmarginal/state-v1", "dims": [2, 2, 2], "amplitudes": 5}, "'amplitudes'"),
+        ([{"schema": "qmarginal/state-v1"}], "JSON object"),
+    ], ids=["no-dims", "amplitudes-not-a-list", "top-level-list"])
+    def test_malformed_state_file_is_a_usage_error(self, tmp_path, payload, field):
+        # A separate interpreter, so an escaping exception shows as a traceback.
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(payload))
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(qmarginal.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qmarginal.cli", "check", "--state", str(path),
+             "--mode", "oracle", "--subsets", "01,02,12"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr.startswith("usage error:")
+        assert field in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_missing_state_file(self, capsys):
         code, _ = run(["check", "--state", "/nonexistent/state.json",

@@ -1,12 +1,18 @@
+import dataclasses
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmarginal import feasibility
 from qmarginal.feasibility import (
+    _DISTINCTNESS_TOL,
     _GAP_MIN,
     _GAP_ZERO,
+    _PERTURBATION_SCALE,
     INCONCLUSIVE,
     NON_UNIQUE,
     UNIQUE,
@@ -18,9 +24,7 @@ from qmarginal.feasibility import (
     _on_parties,
     _parent_hamiltonian,
     constraint_nullspace,
-    dykstra_solve,
     genericity_survey,
-    project_affine,
     project_psd,
     uniqueness_probe,
 )
@@ -36,7 +40,8 @@ from qmarginal.tensor import (
 )
 from qmarginal.uniqueness import UNIQUE_LINEAR, check_linear_uniqueness
 
-from conftest import PAULI, ghz_state, kron_all, random_hermitian, slow_partial_trace
+from conftest import (PAULI, ghz_state, haar_unitary, kron_all, random_hermitian,
+                      slow_partial_trace)
 
 PAIRS3 = [(0, 1), (0, 2), (1, 2)]
 PAIRS4 = list(itertools.combinations(range(4), 2))
@@ -46,6 +51,23 @@ ABAC = [(0, 1), (0, 2)]
 
 def haar(dims, seed):
     return haar_random_state(PartySignature(dims), SeededRng(seed))
+
+
+def dykstra_run(start, cs):
+    """One Dykstra run from ``start`` with the default config: its last
+    PSD-side iterate, stop flag and cycle count, the iterate's Frobenius
+    distance from the affine set, the negative part of its smallest
+    eigenvalue and its largest marginal error."""
+    op = ConstraintOperator(cs)
+    config = ProjectionConfig()
+    outs, iters, conv = _dykstra_batch(np.asarray(start, dtype=complex)[None], op,
+                                       config.max_iterations, config.convergence_tol)
+    y = outs[0]
+    return SimpleNamespace(
+        matrix=y, converged=bool(conv[0]), iterations=int(iters[0]),
+        affine_residual=float(np.linalg.norm(op.project(y) - y)),
+        psd_residual=max(0.0, -float(np.linalg.eigvalsh(y)[0])),
+        marginal_residual=cs.marginal_residual(y))
 
 
 def bloch_kernel_count(n, d, subsets):
@@ -106,16 +128,16 @@ class TestConstraintNullspace:
 class TestProjectAffine:
     def test_point_in_set_unchanged(self):
         state = haar([2, 2, 2], 40)
-        cs = MarginalConstraintSet.from_state(state, PAIRS3)
+        op = ConstraintOperator(MarginalConstraintSet.from_state(state, PAIRS3))
         rho = to_density(state).matrix
-        assert np.abs(project_affine(rho, cs) - rho).max() < 1e-12
+        assert np.abs(op.project(rho) - rho).max() < 1e-12
 
     def test_idempotent(self, np_rng):
         state = haar([2, 2, 2], 41)
-        cs = MarginalConstraintSet.from_state(state, PAIRS3)
+        op = ConstraintOperator(MarginalConstraintSet.from_state(state, PAIRS3))
         x = random_hermitian(np_rng, 8)
-        once = project_affine(x, cs)
-        twice = project_affine(once, cs)
+        once = op.project(x)
+        twice = op.project(once)
         assert np.abs(once - twice).max() < 1e-12
 
     @pytest.mark.parametrize("pinned", [
@@ -164,18 +186,18 @@ class TestProjectAffine:
         coeffs = np.linalg.pinv(np.array(rows)) @ np.array(rhs)
         oracle = sum(c * m for c, m in zip(coeffs, basis))
 
-        ours = project_affine(np.zeros((4, 4), dtype=complex), cs)
+        ours = ConstraintOperator(cs).project(np.zeros((4, 4), dtype=complex))
         assert np.abs(ours - oracle).max() < 1e-10
 
     def test_linear_part_self_adjoint(self, np_rng):
         state = haar([2, 2, 2], 43)
-        cs = MarginalConstraintSet.from_state(state, PAIRS3)
-        offset = project_affine(np.zeros((8, 8), dtype=complex), cs)
+        op = ConstraintOperator(MarginalConstraintSet.from_state(state, PAIRS3))
+        offset = op.project(np.zeros((8, 8), dtype=complex))
         for _ in range(5):
             x = random_hermitian(np_rng, 8)
             y = random_hermitian(np_rng, 8)
-            px = project_affine(x, cs) - offset
-            py = project_affine(y, cs) - offset
+            px = op.project(x) - offset
+            py = op.project(y) - offset
             lhs = np.trace(px @ y).real
             rhs = np.trace(x @ py).real
             assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs))
@@ -184,10 +206,10 @@ class TestProjectAffine:
         # x - P(x) is orthogonal to the constraint kernel.
         sig = PartySignature([2, 2, 2])
         state = haar([2, 2, 2], 44)
-        cs = MarginalConstraintSet.from_state(state, PAIRS3)
+        op = ConstraintOperator(MarginalConstraintSet.from_state(state, PAIRS3))
         kernel = constraint_nullspace(sig, PAIRS3)
         x = random_hermitian(np_rng, 8)
-        moved = x - project_affine(x, cs)
+        moved = x - op.project(x)
         for b in kernel:
             assert abs(np.trace(moved @ b).real) < 1e-10
 
@@ -212,7 +234,7 @@ class TestDykstraSolve:
         state = haar([2, 2, 2], 50)
         cs = MarginalConstraintSet.from_state(state, PAIRS3)
         rho = to_density(state).matrix
-        res = dykstra_solve(rho, cs)
+        res = dykstra_run(rho, cs)
         assert res.converged
         assert res.iterations == 1
         assert res.affine_residual < 1e-12
@@ -228,7 +250,7 @@ class TestDykstraSolve:
         g = g + g.conj().T
         kdir = op.project_kernel(g)
         kdir /= np.linalg.norm(kdir)
-        res = dykstra_solve(rho + 0.1 * kdir, cs)
+        res = dykstra_run(rho + 0.1 * kdir, cs)
         assert trace_distance(res.matrix, rho) < 1e-4
         assert res.converged
         assert res.psd_residual < 1e-10
@@ -243,7 +265,7 @@ class TestDykstraSolve:
         mix = np.zeros((8, 8), dtype=complex)
         mix[0, 0] = mix[7, 7] = 0.5
         start = 0.5 * rho + 0.5 * mix
-        res = dykstra_solve(start, cs)
+        res = dykstra_run(start, cs)
         assert res.converged
         assert res.marginal_residual < 1e-9
         assert trace_distance(res.matrix, rho) > 0.2
@@ -360,22 +382,79 @@ class TestUniquenessProbe:
         assert np.abs(moved - base).max() <= 1e-12
 
 
+def rotate_parties(state, unitaries):
+    """``(U_1 (x) ... (x) U_n) psi``, one factor per party axis."""
+    amps = state.amplitudes
+    for party, u in enumerate(unitaries):
+        amps = np.moveaxis(np.tensordot(u, amps, axes=([1], [party])), 0, party)
+    return AmplitudeTensor(state.signature, amps)
+
+
+def permute_parties(state, subsets, perm):
+    """New party j is old party ``perm[j]``; each subset is renamed to match."""
+    where = np.argsort(perm)
+    amps = np.transpose(state.amplitudes, perm)
+    renamed = [tuple(sorted(int(where[p]) for p in s)) for s in subsets]
+    return AmplitudeTensor(PartySignature(amps.shape), amps), renamed
+
+
+ORACLE_CASES = {
+    # name: (dims, subsets, expected verdict, expected decided_by)
+    "haar3-pairs": ((2, 2, 2), PAIRS3, UNIQUE, "certificate"),
+    "haar4x2x2-abac": ((4, 2, 2), ABAC, UNIQUE, "certificate"),
+    "ghz-family": ((2, 2, 2), PAIRS3, NON_UNIQUE, "dykstra"),
+    "haar4-pairs": ((2, 2, 2, 2), PAIRS4, UNIQUE, "parent_hamiltonian"),
+}
+
+
+class TestOracleInvariance:
+    """Verdict, deciding path, certification and face dimension are
+    properties of the local-unitary orbit and do not depend on how the
+    parties are numbered."""
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(case=st.sampled_from(sorted(ORACLE_CASES)),
+           state_seed=st.integers(0, 2 ** 32 - 1),
+           unitary_seed=st.integers(0, 2 ** 32 - 1),
+           a2=st.floats(0.3, 0.7),
+           data=st.data())
+    def test_probe_invariant_under_local_unitaries_and_party_relabelling(
+            self, case, state_seed, unitary_seed, a2, data):
+        dims, subsets, verdict, decided_by = ORACLE_CASES[case]
+        state = ghz_state(3, np.sqrt(a2)) if case == "ghz-family" else haar(dims, state_seed)
+        rng = np.random.default_rng(unitary_seed)
+        rotated = rotate_parties(state, [haar_unitary(rng, d) for d in dims])
+        perm = data.draw(st.permutations(range(len(dims))))
+        relabelled, renamed = permute_parties(state, subsets, perm)
+        config = ProjectionConfig(seed=1)
+
+        def summary(v):
+            return v.verdict, v.decided_by, v.certified, v.face_dim
+
+        before = summary(uniqueness_probe(state, subsets, config))
+        assert before[:2] == (verdict, decided_by)
+        assert summary(uniqueness_probe(rotated, subsets, config)) == before
+        assert summary(uniqueness_probe(relabelled, renamed, config)) == before
+
+
 class TestProjectionConfig:
     def test_defaults(self):
         config = ProjectionConfig()
         assert config.max_iterations == 5000
         assert config.convergence_tol == 1e-9
-        assert config.distinctness_tol == 1e-4
+        assert _DISTINCTNESS_TOL == 1e-4
         assert config.restarts == 8
-        assert config.perturbation_scale == 0.1
+        assert _PERTURBATION_SCALE == 0.1
+        assert [f.name for f in dataclasses.fields(config)] == \
+            ["max_iterations", "convergence_tol", "restarts", "seed"]
 
     def test_validation(self):
         with pytest.raises(ValueError):
             ProjectionConfig(max_iterations=0)
         with pytest.raises(ValueError):
-            ProjectionConfig(convergence_tol=1e-3, distinctness_tol=1e-4)
+            ProjectionConfig(convergence_tol=1e-3)
         with pytest.raises(ValueError):
-            ProjectionConfig(perturbation_scale=0.0)
+            ProjectionConfig(convergence_tol=0.0)
 
 
 class TestMarginalConstraintSet:
@@ -395,6 +474,15 @@ class TestMarginalConstraintSet:
         state = haar([2, 2, 2], 63)
         cs = MarginalConstraintSet.from_state(state, [(0, 1), (1, 2)])
         assert cs.covered_parties() == {0, 1, 2}
+
+    def test_marginal_residual_matches_loop_partial_traces(self, np_rng):
+        state = haar([2, 2, 2], 64)
+        cs = MarginalConstraintSet.from_state(state, [(0, 1), (1, 2)])
+        assert cs.marginal_residual(to_density(state).matrix) < 1e-14
+        other = random_hermitian(np_rng, 8)
+        expected = max(np.linalg.norm(slow_partial_trace(other, (2, 2, 2), s) - t.matrix)
+                       for s, t in cs.constraints)
+        assert abs(cs.marginal_residual(other) - expected) < 1e-12
 
 
 class TestGenericitySurvey:
@@ -468,12 +556,12 @@ class TestFaceCertificate:
         for r in range(4):
             g = SeededRng(seed).spawn(r).complex_normal(rho.shape)
             kdir = op.project_kernel(g + g.conj().T)
-            starts.append(rho + config.perturbation_scale * kdir / np.linalg.norm(kdir))
+            starts.append(rho + _PERTURBATION_SCALE * kdir / np.linalg.norm(kdir))
         outs, iters, _ = _dykstra_batch(np.array(starts), op, config.max_iterations,
                                         config.convergence_tol)
         assert min(iters) > 1
         for out in outs:
-            assert trace_distance(out, rho) <= config.distinctness_tol
+            assert trace_distance(out, rho) <= _DISTINCTNESS_TOL
 
     @pytest.mark.parametrize("a", [None, 0.3, 0.55, 0.8])
     def test_ghz_family_never_certified(self, a):

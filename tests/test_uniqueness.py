@@ -16,7 +16,7 @@ from qmarginal.uniqueness import (
     sequential_elimination_trace,
 )
 
-from conftest import ghz_state
+from conftest import ghz_state, haar_unitary
 
 
 def haar(shape, seed):
@@ -131,12 +131,6 @@ class TestCheckLinearUniqueness:
             for t in range(50)
         )
         assert hits == 50
-
-
-def haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
-    """QR of a complex Ginibre matrix with the phases of R's diagonal divided out."""
-    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 class TestLocalUnitaryInvariance:
