@@ -14,9 +14,11 @@ in which a second consistent state can differ). A run that ends away from
 the reference state is only accepted as a counterexample after an exact
 certification step: the candidate is polished in factorized form
 ``W = A A^+`` (positive semidefinite by construction) with Gauss-Newton on
-the marginal equations, pushed outward through the feasible set to a
-well-separated point, and finally verified directly against every
-constraint, so NON_UNIQUE is constructive.
+the marginal equations and verified directly against every constraint, so
+NON_UNIQUE is constructive. Of the verified witnesses, the one whose
+straight chord from the reference runs farthest through the feasible set
+(an eigenvalue formula) is pushed outward to a well-separated point, and
+the farthest verified point is reported.
 
 UNIQUE is proved, where the marginals allow it, by one of two
 certificates. The first is facial reduction (Borwein & Wolkowicz 1981)
@@ -571,6 +573,25 @@ def _certify(candidate: np.ndarray, op: ConstraintOperator):
     return w if res < _CERT_TOL else None
 
 
+def _exit_parameter(psi: np.ndarray, w: np.ndarray) -> float:
+    """Where the ray ``R + t (W - R)`` from ``R = psi psi^+`` through a PSD
+    ``W`` leaves the PSD cone.
+
+    For ``t > 1`` the point is ``t W - (t - 1) psi psi^+``, which is PSD
+    exactly when ``psi`` lies in the range of ``W`` and ``t <= m / (m - 1)``
+    with ``m = psi^+ W^+ psi``; when ``psi`` has weight outside that range
+    the ray leaves at ``t = 1``. Trace distance from ``R`` grows linearly
+    along the ray, so the feasible chord through ``W`` reaches ``t D(W, R)``.
+    """
+    vals, vecs = np.linalg.eigh((w + w.conj().T) / 2)
+    weight = np.abs(vecs.conj().T @ psi) ** 2
+    zero = vals <= _GAP_ZERO
+    if weight[zero].sum() > _GAP_ZERO:
+        return 1.0
+    m = float(np.sum(weight[~zero] / vals[~zero]))
+    return m / (m - 1) if m > 1 else np.inf
+
+
 def _pursue_far(reference: np.ndarray, witness: np.ndarray,
                 op: ConstraintOperator, rounds: int = 40) -> np.ndarray:
     """Push a certified witness outward through the feasible set.
@@ -579,6 +600,8 @@ def _pursue_far(reference: np.ndarray, witness: np.ndarray,
     the reference and re-certifies; keeps any verified point that is
     farther. Greatly separates witnesses that Dykstra leaves close to the
     reference (its projections find *nearest* feasible points).
+    ``uniqueness_probe`` calls it once per probe, on the verified restart
+    whose exit chord (:func:`_exit_parameter`) is longest.
     """
     current = witness
     dist = trace_distance(current, reference)
@@ -620,10 +643,11 @@ class RunRecord:
     """Per-restart outcome of the multi-start probe.
 
     ``outcome`` is ``"returned_reference"`` (converged within the
-    distinctness tolerance of the reference), ``"witness"`` (led to a
-    verified distinct state), ``"not_converged"`` (stopped by the iteration
-    cap without a witness) or ``"inconclusive"`` (converged away from the
-    reference without a witness). ``converged`` and ``iterations`` are the
+    distinctness tolerance of the reference), ``"witness"`` (its polished
+    point, lifted to the whole space, verified as a distinct consistent
+    state), ``"not_converged"`` (stopped by the iteration cap without a
+    witness) or ``"inconclusive"`` (converged away from the reference
+    without a witness). ``converged`` and ``iterations`` are the
     Dykstra run's stop flag and cycle count; ``distance`` is the trace
     distance of its last PSD-side iterate, lifted to the whole space, from
     the reference.
@@ -687,7 +711,9 @@ def uniqueness_probe(pure_state: AmplitudeTensor,
     k x k matrices of ``Herm(K)``, and each outcome is lifted back to the
     whole space before it is measured or verified. UNIQUE requires every
     restart to converge back to the reference within the distinctness
-    tolerance; NON_UNIQUE requires a directly verified distinct witness;
+    tolerance; NON_UNIQUE requires a directly verified distinct witness,
+    and only the verified witness with the longest exit chord is pushed
+    outward before the farthest one is reported;
     everything else is INCONCLUSIVE. A party not covered by any subset
     makes uniqueness impossible: a local unitary there is an immediate
     analytic witness.
@@ -727,7 +753,7 @@ def uniqueness_probe(pure_state: AmplitudeTensor,
         np.array(starts), search, config.max_iterations, config.convergence_tol)
 
     runs: list[RunRecord] = []
-    witnesses: list[np.ndarray] = []
+    found: list[tuple[float, np.ndarray]] = []    # (distance, polished witness)
     for i in range(config.restarts):
         converged = bool(conv[i])
         dist = trace_distance(_lift(outs[i], basis), rho.matrix)
@@ -739,16 +765,24 @@ def uniqueness_probe(pure_state: AmplitudeTensor,
             outcome = RUN_INCONCLUSIVE if converged else RUN_NOT_CONVERGED
             polished = _certify(outs[i], search)
             if polished is not None:
-                far = _lift(_pursue_far(reference, polished, search), basis)
-                if _verify_witness(far, op, config) and \
-                        trace_distance(far, rho.matrix) > tol:
-                    witnesses.append(far)
+                lifted = _lift(polished, basis)
+                away = trace_distance(lifted, rho.matrix)
+                if _verify_witness(lifted, op, config) and away > tol:
+                    found.append((away, polished))
                     outcome = WITNESS
         runs.append(RunRecord(outcome, converged, int(iters[i]), dist))
 
     face_dim = search.total_dim
-    if witnesses:
-        best = max(witnesses, key=lambda w: trace_distance(w, rho.matrix))
+    if found:
+        # Push outward only the witness with the longest feasible chord
+        # from the reference; report the farthest verified point.
+        psi = pure_state.vector() if basis is None else basis.conj().T @ pure_state.vector()
+        _, start = max(found, key=lambda f: _exit_parameter(psi, f[1]) * f[0])
+        far = _lift(_pursue_far(reference, start, search), basis)
+        candidates = [_lift(w, basis) for _, w in found]
+        if _verify_witness(far, op, config):
+            candidates.append(far)
+        best = max(candidates, key=lambda w: trace_distance(w, rho.matrix))
         listed = (rho, _as_density(best, signature))
         return _finish(NON_UNIQUE, listed, op, runs, gap, face_dim)
     if all(r.outcome == RETURNED_REFERENCE for r in runs):

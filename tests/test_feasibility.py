@@ -20,6 +20,7 @@ from qmarginal.feasibility import (
     MarginalConstraintSet,
     ProjectionConfig,
     _dykstra_batch,
+    _exit_parameter,
     _face_certificate,
     _on_parties,
     _parent_hamiltonian,
@@ -40,8 +41,8 @@ from qmarginal.tensor import (
 )
 from qmarginal.uniqueness import UNIQUE_LINEAR, check_linear_uniqueness
 
-from conftest import (PAULI, ghz_state, haar_unitary, kron_all, random_hermitian,
-                      slow_partial_trace)
+from conftest import (PAULI, ghz_state, haar_unitary, kron_all, random_density,
+                      random_hermitian, slow_partial_trace)
 
 PAIRS3 = [(0, 1), (0, 2), (1, 2)]
 PAIRS4 = list(itertools.combinations(range(4), 2))
@@ -382,6 +383,93 @@ class TestUniquenessProbe:
         assert np.abs(moved - base).max() <= 1e-12
 
 
+def random_unit(rng, t):
+    v = rng.standard_normal(t) + 1j * rng.standard_normal(t)
+    return v / np.linalg.norm(v)
+
+
+def on_ray(psi, w, t):
+    r = np.outer(psi, psi.conj())
+    return r + t * (w - r)
+
+
+class TestExitParameter:
+    @pytest.mark.parametrize("t", [2, 8, 16])
+    def test_ray_leaves_the_psd_cone_at_the_exit(self, np_rng, t):
+        for _ in range(5):
+            w, psi = random_density(np_rng, t), random_unit(np_rng, t)
+            exit_t = _exit_parameter(psi, w)
+            assert 1 < exit_t < np.inf
+            assert np.linalg.eigvalsh(on_ray(psi, w, exit_t * (1 - 1e-9)))[0] >= -1e-12
+            assert np.linalg.eigvalsh(on_ray(psi, w, 1.001 * exit_t))[0] < 0
+
+    @pytest.mark.parametrize("t", [2, 8, 16])
+    def test_reference_outside_the_range_exits_at_the_witness(self, np_rng, t):
+        psi = random_unit(np_rng, t)
+        perp = np.eye(t) - np.outer(psi, psi.conj())
+        w = perp @ random_density(np_rng, t) @ perp
+        assert _exit_parameter(psi, w / np.trace(w).real) == 1.0
+
+    @pytest.mark.parametrize("a", [None, 0.3, 0.55, 0.8])
+    def test_chord_ends_on_a_pure_state_of_the_ghz_face(self, a):
+        state = ghz_state(3, a)
+        cs = MarginalConstraintSet.from_state(state, PAIRS3)
+        _, _, face, _ = _face_certificate(cs, ConstraintOperator(cs), _DISTINCTNESS_TOL)
+        assert face.shape == (8, 2)
+        rho = to_density(state).matrix
+        psi = face.conj().T @ state.vector()
+        witness = uniqueness_probe(state, PAIRS3, ProjectionConfig(seed=4)).witnesses[1]
+        # The probe's witness and the dephased mixture, on the face.
+        mix = np.diag(np.diag(rho))
+        for w in (witness.matrix, mix):
+            w_face = face.conj().T @ w @ face
+            end = on_ray(psi, w_face, _exit_parameter(psi, w_face))
+            vals = np.linalg.eigvalsh(end)
+            assert abs(vals[0]) <= 1e-9 and abs(vals[1] - 1) <= 1e-9
+            lifted = face @ end @ face.conj().T
+            for subset in PAIRS3:
+                diff = slow_partial_trace(lifted, (2, 2, 2), subset) - \
+                    slow_partial_trace(rho, (2, 2, 2), subset)
+                assert np.abs(diff).max() <= 1e-9
+        # diag(a^2, b^2) = (R + R') / 2, R' the GHZ state with its sign flipped.
+        mix_face = face.conj().T @ mix @ face
+        assert abs(_exit_parameter(psi, mix_face) - 2) <= 1e-9
+
+
+@pytest.fixture
+def probe_calls(monkeypatch):
+    """Counts the calls of the witness pursuit and of Gauss-Newton
+    certification (the pursuit's own calls included)."""
+    counts = {"_pursue_far": 0, "_certify": 0}
+    for name in counts:
+        def counted(*args, _real=getattr(feasibility, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(feasibility, name, counted)
+    return counts
+
+
+class TestWitnessPursuit:
+    def test_non_unique_probe_pursues_one_witness(self, probe_calls):
+        verdict = uniqueness_probe(ghz_state(3), PAIRS3, ProjectionConfig(seed=1))
+        assert verdict.verdict == NON_UNIQUE
+        assert sum(r.outcome == "witness" for r in verdict.runs) > 1
+        assert probe_calls["_pursue_far"] == 1
+
+    def test_certified_probe_neither_certifies_nor_pursues(self, probe_calls):
+        verdict = uniqueness_probe(haar([2, 2, 2], 60), PAIRS3, ProjectionConfig(seed=1))
+        assert verdict.certified
+        assert probe_calls == {"_pursue_far": 0, "_certify": 0}
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_reported_witness_is_the_farthest(self, seed):
+        verdict = uniqueness_probe(ghz_state(3, 0.55), PAIRS3, ProjectionConfig(seed=seed))
+        reported = verdict.pairwise_distances[0]
+        witness_runs = [r for r in verdict.runs if r.outcome == "witness"]
+        assert witness_runs
+        assert all(reported >= r.distance for r in witness_runs)
+
+
 def rotate_parties(state, unitaries):
     """``(U_1 (x) ... (x) U_n) psi``, one factor per party axis."""
     amps = state.amplitudes
@@ -436,6 +524,43 @@ class TestOracleInvariance:
         assert summary(uniqueness_probe(rotated, subsets, config)) == before
         assert summary(uniqueness_probe(relabelled, renamed, config)) == before
 
+
+class TestOracleProperties:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(a2=st.floats(0.2, 0.8),
+           unitary_seed=st.integers(0, 2 ** 32 - 1),
+           restart_seed=st.integers(0, 2 ** 32 - 1))
+    def test_every_non_unique_witness_passes_fresh_verification(
+            self, a2, unitary_seed, restart_seed):
+        rng = np.random.default_rng(unitary_seed)
+        state = rotate_parties(ghz_state(3, np.sqrt(a2)),
+                               [haar_unitary(rng, 2) for _ in range(3)])
+        verdict = uniqueness_probe(state, PAIRS3, ProjectionConfig(seed=restart_seed))
+        assert verdict.verdict == NON_UNIQUE
+        rho, witness = verdict.witnesses[0].matrix, verdict.witnesses[1].matrix
+        for subset in PAIRS3:
+            diff = slow_partial_trace(witness, (2, 2, 2), subset) - \
+                slow_partial_trace(rho, (2, 2, 2), subset)
+            assert np.abs(diff).max() <= 1e-9
+        assert abs(np.trace(witness) - 1) <= 1e-9
+        assert np.abs(witness - witness.conj().T).max() <= 1e-9
+        assert np.linalg.eigvalsh(witness)[0] >= -1e-10
+        dist = trace_distance(witness, rho)
+        assert dist > 1e-4
+        assert abs(dist - verdict.pairwise_distances[0]) <= 1e-12
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(case=st.sampled_from(sorted(c for c in ORACLE_CASES if c.startswith("haar"))),
+           state_seed=st.integers(0, 2 ** 32 - 1),
+           restart_seed=st.integers(0, 2 ** 32 - 1))
+    def test_certificate_implies_unique(self, case, state_seed, restart_seed):
+        dims, subsets, _, _ = ORACLE_CASES[case]
+        verdict = uniqueness_probe(haar(dims, state_seed), subsets,
+                                   ProjectionConfig(seed=restart_seed))
+        if verdict.certified:
+            assert verdict.verdict == UNIQUE
+            assert all(r.outcome == "returned_reference" and r.distance <= _DISTINCTNESS_TOL
+                       for r in verdict.runs)
 
 class TestProjectionConfig:
     def test_defaults(self):
