@@ -5,124 +5,19 @@ The package provides a constructive linear test for tripartite groupings,
 an independent convex-feasibility oracle for arbitrary marginal sets,
 exact parameter-counting bounds on the sufficient fraction of parties,
 a classical counterexample generator, and a reproducible CLI.
+
+The package namespace re-exports exactly the public names (``__all__``) of
+its five library modules.
 """
 
-from .bounds import (
-    AlphaSolution,
-    BoundsRow,
-    alpha_upper_table,
-    binary_entropy,
-    bounds_rows,
-    count_reduced_params,
-    finite_n_lower_fraction,
-    pure_param_count,
-    solve_alpha_lower,
-)
-from .classical import (
-    EpsilonTooLargeError,
-    JointDistribution,
-    alternating_deviation,
-    classical_marginal,
-    counterexample_pair,
-)
-from .feasibility import (
-    INCONCLUSIVE,
-    NON_UNIQUE,
-    UNIQUE,
-    ConstraintOperator,
-    FeasibilityVerdict,
-    MarginalConstraintSet,
-    ProjectionConfig,
-    SurveyStats,
-    constraint_nullspace,
-    genericity_survey,
-    project_psd,
-    uniqueness_probe,
-)
-from .tensor import (
-    AmplitudeTensor,
-    DensityMatrix,
-    PartySignature,
-    SeededRng,
-    coarse_grain,
-    gell_mann_basis,
-    haar_random_state,
-    partial_trace,
-    partial_trace_matrix,
-    product_operators,
-    rank_and_nullspace,
-    to_density,
-    trace_distance,
-)
-from .uniqueness import (
-    DEGENERATE,
-    UNIQUE_LINEAR,
-    ConsistencyMatrix,
-    EliminationReport,
-    PartySplit,
-    RankDeficientBlockError,
-    TripartiteShape,
-    UniquenessVerdict,
-    build_consistency_matrix,
-    check_linear_uniqueness,
-    identity_pattern_vector,
-    party_split,
-    sequential_elimination_trace,
-)
+from . import bounds, classical, feasibility, tensor, uniqueness
+from .bounds import *  # noqa: F401,F403
+from .classical import *  # noqa: F401,F403
+from .feasibility import *  # noqa: F401,F403
+from .tensor import *  # noqa: F401,F403
+from .uniqueness import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlphaSolution",
-    "BoundsRow",
-    "alpha_upper_table",
-    "binary_entropy",
-    "bounds_rows",
-    "count_reduced_params",
-    "finite_n_lower_fraction",
-    "pure_param_count",
-    "solve_alpha_lower",
-    "EpsilonTooLargeError",
-    "JointDistribution",
-    "alternating_deviation",
-    "classical_marginal",
-    "counterexample_pair",
-    "INCONCLUSIVE",
-    "NON_UNIQUE",
-    "UNIQUE",
-    "ConstraintOperator",
-    "FeasibilityVerdict",
-    "MarginalConstraintSet",
-    "ProjectionConfig",
-    "SurveyStats",
-    "constraint_nullspace",
-    "genericity_survey",
-    "project_psd",
-    "uniqueness_probe",
-    "AmplitudeTensor",
-    "DensityMatrix",
-    "PartySignature",
-    "SeededRng",
-    "coarse_grain",
-    "gell_mann_basis",
-    "haar_random_state",
-    "partial_trace",
-    "partial_trace_matrix",
-    "product_operators",
-    "rank_and_nullspace",
-    "to_density",
-    "trace_distance",
-    "DEGENERATE",
-    "UNIQUE_LINEAR",
-    "ConsistencyMatrix",
-    "EliminationReport",
-    "PartySplit",
-    "RankDeficientBlockError",
-    "TripartiteShape",
-    "UniquenessVerdict",
-    "build_consistency_matrix",
-    "check_linear_uniqueness",
-    "identity_pattern_vector",
-    "party_split",
-    "sequential_elimination_trace",
-]
+__all__ = [*bounds.__all__, *classical.__all__, *feasibility.__all__,
+           *tensor.__all__, *uniqueness.__all__]

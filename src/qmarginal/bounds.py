@@ -20,6 +20,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+# Bracket width and residual at which the root bisection stops.
+_ALPHA_TOL = 1e-13
+
 __all__ = [
     "BoundsRow",
     "AlphaSolution",
@@ -115,12 +118,13 @@ def binary_entropy(x: float) -> float:
     return -x * math.log(x) - (1.0 - x) * math.log(1.0 - x)
 
 
-def solve_alpha_lower(d: int, tol: float = 1e-13) -> AlphaSolution:
+def solve_alpha_lower(d: int) -> AlphaSolution:
     """Solve ``H(alpha) + alpha ln(d^2 - 1) - ln d = 0`` on (0, 1/2].
 
     The left side is strictly increasing there (derivative
     ``ln((1-a)/a) + ln(d^2-1) > 0``), negative near 0 and positive at 1/2,
-    so bisection converges to the unique root. For a fraction of parties
+    so bisection converges to the unique root, stopping once the bracket
+    and the residual are both below ``_ALPHA_TOL``. For a fraction of parties
     below this root the reduced states carry too few parameters to single
     out a pure state.
     """
@@ -142,7 +146,7 @@ def solve_alpha_lower(d: int, tol: float = 1e-13) -> AlphaSolution:
             lo = mid
         else:
             hi = mid
-        if hi - lo < tol and abs(f(mid)) < tol:
+        if hi - lo < _ALPHA_TOL and abs(f(mid)) < _ALPHA_TOL:
             break
     mid = 0.5 * (lo + hi)
     return AlphaSolution(d, mid, abs(f(mid)), (lo, hi))

@@ -35,8 +35,7 @@ import numpy as np
 from .bounds import alpha_upper_table, bounds_rows, count_reduced_params, solve_alpha_lower
 from .classical import (JointDistribution, alternating_deviation, classical_marginal,
                         counterexample_pair)
-from .feasibility import (NON_UNIQUE, UNIQUE, ProjectionConfig, constraint_nullspace,
-                          uniqueness_probe)
+from .feasibility import NON_UNIQUE, UNIQUE, constraint_nullspace, uniqueness_probe
 from .tensor import (AmplitudeTensor, PartySignature, SeededRng, haar_random_state,
                      partial_trace_matrix, to_density)
 from .uniqueness import (UNIQUE_LINEAR, build_consistency_matrix, check_linear_uniqueness,
@@ -59,17 +58,16 @@ def pair_statistics(p: JointDistribution, q: JointDistribution) -> dict:
     """How far apart two joints are, and how far their marginals are.
 
     ``max_marginal_difference`` is the largest entrywise difference over
-    every (n-1)-variable marginal (the full table when n = 1),
-    ``l1_distance`` is ``||p - q||_1`` and ``deviation_l1`` the L1 norm of
-    the alternating deviation of p's shape.
+    every (n-1)-variable marginal (n >= 2), ``l1_distance`` is
+    ``||p - q||_1`` and ``deviation_l1`` the L1 norm of the alternating
+    deviation of p's shape.
     """
     n, d = len(p.arity), p.arity[0]
-    keeps = itertools.combinations(range(n), n - 1) if n > 1 else [(0,)]
     return {
         "max_marginal_difference": max(
             float(np.abs(classical_marginal(p, keep).probabilities
                          - classical_marginal(q, keep).probabilities).max())
-            for keep in keeps),
+            for keep in itertools.combinations(range(n), n - 1)),
         "l1_distance": float(np.abs(p.probabilities - q.probabilities).sum()),
         "deviation_l1": float(np.abs(alternating_deviation(n, d)).sum()),
     }
@@ -140,12 +138,11 @@ def identity_pattern_invariant(seed: int, spawn: int, shapes) -> tuple[bool, dic
 def oracle_positive_control(seed: int, spawn: int, trials: int) -> tuple[bool, dict]:
     base = SeededRng(seed).spawn(spawn)
     sig = PartySignature([2, 2, 2])
-    config = ProjectionConfig(seed=seed)
     verdicts = []
     good = 0
     for t in range(trials):
         state = haar_random_state(sig, base.spawn(t).spawn(0))
-        v = uniqueness_probe(state, PAIRS3, config, rng=base.spawn(t).spawn(1))
+        v = uniqueness_probe(state, PAIRS3, rng=base.spawn(t).spawn(1))
         verdicts.append(v.verdict)
         good += v.verdict == UNIQUE and all(r.distance <= 1e-4 for r in v.runs)
     ok = good >= trials - max(1, trials // 20)
@@ -158,7 +155,7 @@ def oracle_negative_control(seed: int) -> tuple[bool, dict]:
     witness distance is the trace distance of the oracle's two witnesses."""
     state = ghz_state(3)
     rho = to_density(state)
-    v = uniqueness_probe(state, PAIRS3, ProjectionConfig(seed=seed))
+    v = uniqueness_probe(state, PAIRS3, rng=SeededRng(seed))
     non_unique = v.verdict == NON_UNIQUE and len(v.witnesses) >= 2
     witness = v.witnesses[1] if non_unique else rho
     witness_marginal = max(
@@ -190,12 +187,11 @@ def oracle_four_qubit_pairs(seed: int, spawn: int, trials: int) -> tuple[bool, d
     certificate's case; none may come back NON_UNIQUE."""
     base = SeededRng(seed).spawn(spawn)
     sig = PartySignature([2, 2, 2, 2])
-    config = ProjectionConfig(seed=seed)
     verdicts = []
     certified = 0
     for t in range(trials):
         state = haar_random_state(sig, base.spawn(t).spawn(0))
-        v = uniqueness_probe(state, PAIRS4, config, rng=base.spawn(t).spawn(1))
+        v = uniqueness_probe(state, PAIRS4, rng=base.spawn(t).spawn(1))
         verdicts.append(v.verdict)
         certified += v.verdict == UNIQUE and v.certified
     ok = certified >= trials - max(1, trials // 20) and NON_UNIQUE not in verdicts
@@ -211,14 +207,12 @@ def constraint_kernel_dims() -> tuple[bool, dict]:
 def linear_oracle_consistency(seed: int, spawn: int, trials: int) -> tuple[bool, dict]:
     base = SeededRng(seed).spawn(spawn)
     sig = PartySignature([4, 2, 2])
-    config = ProjectionConfig(seed=seed)
     rows = []
     contradictions = 0
     for t in range(trials):
         state = haar_random_state(sig, base.spawn(t).spawn(0))
         lin = check_linear_uniqueness(state).verdict
-        orc = uniqueness_probe(state, [(0, 1), (0, 2)], config,
-                               rng=base.spawn(t).spawn(1)).verdict
+        orc = uniqueness_probe(state, [(0, 1), (0, 2)], rng=base.spawn(t).spawn(1)).verdict
         rows.append({"linear": lin, "oracle": orc})
         contradictions += lin == UNIQUE_LINEAR and orc == NON_UNIQUE
     return contradictions == 0, {"trials": trials, "contradictions": contradictions,

@@ -107,10 +107,15 @@ def counterexample_pair(n: int, d: int, epsilon: float, rng: SeededRng,
     """Two distinct joints with identical marginals on every n-1 variables.
 
     ``q = p + epsilon * delta`` with the alternating deviation ``delta``;
-    p is a flat-Dirichlet draw unless ``base`` is given. epsilon must be
-    positive and small enough to keep q non-negative, otherwise
+    p is a flat-Dirichlet draw unless ``base`` is given. n must be at least
+    2, since a single variable has no (n-1)-variable marginal. epsilon must
+    be finite, positive and small enough to keep q non-negative, otherwise
     :class:`EpsilonTooLargeError` reports the admissible maximum.
     """
+    if n < 2:
+        raise ValueError(f"need n >= 2 variables, got n={n}")
+    if not np.isfinite(epsilon):
+        raise ValueError(f"epsilon must be finite, got {epsilon}")
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive (the pair would not be distinct)")
     p = base if base is not None else JointDistribution.random(n, d, rng)

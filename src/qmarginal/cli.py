@@ -168,11 +168,7 @@ def _report(command: str, config: dict, results: dict, started: float) -> dict:
 
 
 def _projection_config(args) -> ProjectionConfig:
-    return ProjectionConfig(
-        max_iterations=args.max_iter,
-        convergence_tol=args.tol_converge,
-        seed=args.seed,
-    )
+    return ProjectionConfig(max_iterations=args.max_iter, convergence_tol=args.tol_converge)
 
 
 def _load_state(args) -> AmplitudeTensor:
@@ -205,6 +201,11 @@ def cmd_sample(args) -> int:
 
 def cmd_check(args) -> int:
     started = time.perf_counter()
+    # Both float flags are echoed into the report whatever the mode, so
+    # both are checked before any work.
+    config = _projection_config(args)
+    if not 0 < args.tol_rank < 1:
+        raise UsageError(f"--tol-rank must lie in (0, 1), got {args.tol_rank}")
     state = _load_state(args)
     results: dict = {}
     codes = []
@@ -239,8 +240,7 @@ def cmd_check(args) -> int:
         if not args.subsets:
             raise UsageError("mode=oracle needs --subsets")
         subsets = _parse_subsets(args.subsets, state.signature.n_parties)
-        config = _projection_config(args)
-        verdict = uniqueness_probe(state, subsets, config)
+        verdict = uniqueness_probe(state, subsets, config, rng=SeededRng(args.seed))
         oracle = {
             "subsets": [list(s) for s in subsets],
             "verdict": verdict.verdict,
@@ -281,7 +281,7 @@ def cmd_survey(args) -> int:
     sig = PartySignature([args.d] * args.n)
     subsets = _parse_subsets(args.subsets, args.n)
     config = _projection_config(args)
-    stats = genericity_survey(sig, subsets, args.trials, config)
+    stats = genericity_survey(sig, subsets, args.trials, args.seed, config)
     results = {
         "n": args.n, "d": args.d,
         "subsets": [list(s) for s in stats.subsets],

@@ -112,6 +112,9 @@ _GAP_MIN = 1e-3
 # Parent-Hamiltonian ascent step cap. Of 460 Haar 4-qubit pair states most
 # hold at the starting point, and none needed more than 12 steps.
 _DUAL_STEPS = 60
+# Gauss-Newton steps per polish, and extrapolation rounds per witness pursuit.
+_POLISH_STEPS = 30
+_PURSUIT_ROUNDS = 40
 
 
 def _subset_key(subset: Sequence[int]) -> tuple[int, ...]:
@@ -174,16 +177,16 @@ class ProjectionConfig:
 
     ``max_iterations`` caps each restart's Dykstra cycles, ``convergence_tol``
     is the trace-norm step at which a restart stops (and the marginal
-    residual a witness must reach), ``restarts`` is the number of starting
-    points and ``seed`` derives their randomness. The distinctness tolerance
-    and the length of the starting kernel step are the module constants
-    ``_DISTINCTNESS_TOL`` and ``_PERTURBATION_SCALE``.
+    residual a witness must reach) and ``restarts`` is the number of starting
+    points. Their randomness is the ``rng`` the caller passes to
+    :func:`uniqueness_probe`. The distinctness tolerance and the length of
+    the starting kernel step are the module constants ``_DISTINCTNESS_TOL``
+    and ``_PERTURBATION_SCALE``.
     """
 
     max_iterations: int = 5000
     convergence_tol: float = 1e-9
     restarts: int = 8
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_iterations < 1 or self.restarts < 1:
@@ -356,21 +359,22 @@ def _restricted_map(op: ConstraintOperator, basis: np.ndarray) -> np.ndarray:
 
 
 def _face_certificate(constraints: MarginalConstraintSet, op: ConstraintOperator,
-                      tol: float) -> tuple[bool, float, np.ndarray, bool]:
+                      tol: float) -> tuple[bool, float, np.ndarray, np.ndarray | None, bool]:
     """Prove that every state with the prescribed marginals lies within
     trace distance ``tol`` of the reference.
 
     The kernel ``P_S`` of each marginal is cut from its spectrum at
     ``_GAP_ZERO``; ``K`` is the kernel of ``H = sum_S P_S (x) I``, cut the
     same way, with orthonormal basis ``V`` (T x k); the restricted map is
-    :func:`_restricted_map`. Returns ``(holds, gap, V, clear)``: ``gap`` is
-    the smallest value compared against ``_GAP_MIN`` (the smallest marginal
-    or ``H`` eigenvalue read as nonzero, or the smallest singular value
-    ``s`` of the restricted map, which is 0 when the map has more columns
-    than rows, and 0 when ``K`` is empty or the whole space); ``clear`` says
-    that ``K`` is a proper, non-empty subspace and that every marginal and
-    ``H`` eigenvalue and every singular value of the restricted map is
-    either at most ``_GAP_ZERO`` or at least ``_GAP_MIN``.
+    :func:`_restricted_map`. Returns ``(holds, gap, V, restricted, clear)``:
+    ``restricted`` is that map, None when ``K`` is empty or the whole space;
+    ``gap`` is the smallest value compared against ``_GAP_MIN`` (the
+    smallest marginal or ``H`` eigenvalue read as nonzero, or the smallest
+    singular value ``s`` of the restricted map, which is 0 when the map has
+    more columns than rows, and 0 when ``K`` is empty or the whole space);
+    ``clear`` says that ``K`` is a proper, non-empty subspace and that every
+    marginal and ``H`` eigenvalue and every singular value of the restricted
+    map is either at most ``_GAP_ZERO`` or at least ``_GAP_MIN``.
 
     The certificate holds when the gap reaches ``_GAP_MIN`` and the rounding
     bound below is at most ``tol``. The eigenvalues cut as zero sum to
@@ -397,15 +401,17 @@ def _face_certificate(constraints: MarginalConstraintSet, op: ConstraintOperator
     face = vecs[:, zero]
     k = face.shape[1]
     if k in (0, t):
-        return False, 0.0, face, False
-    svals = np.linalg.svd(_restricted_map(op, face), compute_uv=False)
+        return False, 0.0, face, None, False
+    restricted = _restricted_map(op, face)
+    svals = np.linalg.svd(restricted, compute_uv=False)
     s = float(svals[-1]) if k * k <= len(op.rows) else 0.0
     gap = min(gaps + [g, s])
     clear = min(gaps + [g]) >= _GAP_MIN and \
         bool(np.all((svals <= _GAP_ZERO) | (svals >= _GAP_MIN)))
     if gap < _GAP_MIN:
-        return False, gap, face, clear
-    return bool(2 * np.sqrt(eta / g) * (1 + np.sqrt(k) / s) <= tol), gap, face, clear
+        return False, gap, face, restricted, clear
+    holds = bool(2 * np.sqrt(eta / g) * (1 + np.sqrt(k) / s) <= tol)
+    return holds, gap, face, restricted, clear
 
 
 def _parent_hamiltonian(psi: np.ndarray, op: ConstraintOperator,
@@ -477,7 +483,8 @@ class _FaceOperator:
     ``rows``, ``target`` and ``weights`` mean what they mean on
     :class:`ConstraintOperator`, in the :func:`herm_to_vec` coordinates of
     the k x k matrix ``E``, so the restart loop runs on it unchanged. The
-    restricted map is scaled by the square roots of the weights and
+    restricted map (:func:`_restricted_map` of ``op`` on the T x k basis
+    ``V``) is scaled by the square roots of the weights and
     factored as ``U S W^T``, keeping the singular values that reach
     ``_GAP_MIN``: ``rows = W^T``, ``target = S^-1 U^T (sqrt(w) c)`` and
     ``weights = S^2``, so the weighted residual of ``E`` is the one
@@ -487,10 +494,9 @@ class _FaceOperator:
     project_vec = ConstraintOperator.project_vec
     project_kernel = ConstraintOperator.project_kernel
 
-    def __init__(self, op: ConstraintOperator, basis: np.ndarray):
+    def __init__(self, op: ConstraintOperator, basis: np.ndarray, restricted: np.ndarray):
         sqrt_w = np.sqrt(op.weights)
-        u, s, wt = np.linalg.svd(sqrt_w[:, None] * _restricted_map(op, basis),
-                                 full_matrices=False)
+        u, s, wt = np.linalg.svd(sqrt_w[:, None] * restricted, full_matrices=False)
         keep = s >= _GAP_MIN
         self.total_dim = basis.shape[1]
         self.rows = wt[keep]
@@ -507,11 +513,10 @@ def _lift(x: np.ndarray, basis: np.ndarray | None) -> np.ndarray:
 # Witness certification
 # ---------------------------------------------------------------------------
 
-def _gauss_newton_polish(candidate: np.ndarray, op: ConstraintOperator,
-                         rank: int, max_iter: int = 30):
+def _gauss_newton_polish(candidate: np.ndarray, op: ConstraintOperator, rank: int):
     """Fit ``W = A A^+`` of the given rank to the affine constraints.
 
-    Gauss-Newton with backtracking on the residual
+    Up to ``_POLISH_STEPS`` Gauss-Newton steps with backtracking on the residual
     ``||sqrt(w) (Q vec(W) - c)||`` (``Q = op.rows``, ``c = op.target``,
     ``w = op.weights``), which is the root sum of squares of every
     constrained partial trace's Frobenius error and of the trace error.
@@ -528,7 +533,7 @@ def _gauss_newton_polish(candidate: np.ndarray, op: ConstraintOperator,
     q, c = op.rows * sqrt_w[:, None], op.target * sqrt_w
     ops = vec_to_herm(q, t)
     best_a, best_res = a, np.inf
-    for _ in range(max_iter):
+    for _ in range(_POLISH_STEPS):
         w = a @ a.conj().T
         f = q @ herm_to_vec(w) - c
         res = float(np.linalg.norm(f))
@@ -593,19 +598,20 @@ def _exit_parameter(psi: np.ndarray, w: np.ndarray) -> float:
 
 
 def _pursue_far(reference: np.ndarray, witness: np.ndarray,
-                op: ConstraintOperator, rounds: int = 40) -> np.ndarray:
+                op: ConstraintOperator) -> np.ndarray:
     """Push a certified witness outward through the feasible set.
 
-    Repeatedly extrapolates past the current witness along its offset from
-    the reference and re-certifies; keeps any verified point that is
-    farther. Greatly separates witnesses that Dykstra leaves close to the
-    reference (its projections find *nearest* feasible points).
+    For up to ``_PURSUIT_ROUNDS`` rounds, extrapolates past the current
+    witness along its offset from the reference and re-certifies; keeps any
+    verified point that is farther. Greatly separates witnesses that Dykstra
+    leaves close to the reference (its projections find *nearest* feasible
+    points).
     ``uniqueness_probe`` calls it once per probe, on the verified restart
     whose exit chord (:func:`_exit_parameter`) is longest.
     """
     current = witness
     dist = trace_distance(current, reference)
-    for _ in range(rounds):
+    for _ in range(_PURSUIT_ROUNDS):
         improved = False
         for step in (1.0, 0.5, 0.25):
             candidate = current + step * (current - reference)
@@ -696,8 +702,8 @@ class FeasibilityVerdict:
 
 def uniqueness_probe(pure_state: AmplitudeTensor,
                      subsets: Sequence[Sequence[int]],
-                     config: ProjectionConfig = ProjectionConfig(),
-                     rng: SeededRng | None = None) -> FeasibilityVerdict:
+                     config: ProjectionConfig = ProjectionConfig(), *,
+                     rng: SeededRng) -> FeasibilityVerdict:
     """Decide whether the given marginals of a pure state pin it uniquely.
 
     The face certificate is tried first, and where no marginal has a
@@ -718,19 +724,21 @@ def uniqueness_probe(pure_state: AmplitudeTensor,
     makes uniqueness impossible: a local unitary there is an immediate
     analytic witness.
 
-    ``rng`` overrides the restart randomness (used by the survey to give
-    each trial its own substream); by default it derives from config.seed.
+    ``rng`` is the only source of randomness: restart r draws its kernel
+    direction from ``rng.spawn(r)``, which leaves ``rng`` itself unchanged,
+    so one stream passed to several probes gives each the same restarts.
+    The certified and uncovered-party paths draw nothing.
     """
     rho = to_density(pure_state)
     signature = pure_state.signature
     constraints = MarginalConstraintSet.from_state(pure_state, subsets)
     uncovered = set(range(signature.n_parties)) - constraints.covered_parties()
     if uncovered:
-        return _uncovered_verdict(pure_state, rho, constraints, min(uncovered), config)
+        return _uncovered_verdict(pure_state, rho, constraints, min(uncovered))
 
     op = ConstraintOperator(constraints)
     tol = _DISTINCTNESS_TOL
-    proved, gap, face, clear = _face_certificate(constraints, op, tol)
+    proved, gap, face, restricted, clear = _face_certificate(constraints, op, tol)
     certified_by = DECIDED_BY_CERTIFICATE if proved else None
     # K is the whole space exactly when no marginal has a kernel.
     if not proved and face.shape[1] == op.total_dim:
@@ -739,10 +747,8 @@ def uniqueness_probe(pure_state: AmplitudeTensor,
             gap, certified_by = dual_gap, DECIDED_BY_PARENT_HAMILTONIAN
     search, basis = op, None
     if certified_by is None and clear:
-        search, basis = _FaceOperator(op, face), face
+        search, basis = _FaceOperator(op, face, restricted), face
     reference = rho.matrix if basis is None else basis.conj().T @ rho.matrix @ basis
-    if rng is None:
-        rng = SeededRng(config.seed)
 
     if certified_by:
         starts = [reference] * config.restarts
@@ -818,19 +824,16 @@ def _finish(verdict: str, witnesses: tuple[DensityMatrix, ...],
 
 
 def _uncovered_verdict(state: AmplitudeTensor, rho: DensityMatrix,
-                       constraints: MarginalConstraintSet, party: int,
-                       config: ProjectionConfig) -> FeasibilityVerdict:
-    """Analytic witness: rotate an unconstrained party."""
+                       constraints: MarginalConstraintSet, party: int) -> FeasibilityVerdict:
+    """Analytic witness: rotate an unconstrained party.
+
+    The clock phase ``diag(exp(2 pi i j / d))`` leaves the state within the
+    distinctness tolerance only when the party sits on one basis vector,
+    and the cyclic shift then moves it to an orthogonal one, so one of the
+    two always works; the ``RuntimeError`` only guards that argument.
+    """
     d = state.signature.dims[party]
-    rng = SeededRng(config.seed)
-    candidates = [np.diag(np.exp(2j * np.pi * np.arange(d) / d)),
-                  np.roll(np.eye(d), 1, axis=0)]
-    for k in range(8):
-        g = rng.spawn(k).complex_normal((d, d))
-        q, _ = np.linalg.qr(g)
-        candidates.append(q)
-    n = state.signature.n_parties
-    for u in candidates:
+    for u in (np.diag(np.exp(2j * np.pi * np.arange(d) / d)), np.roll(np.eye(d), 1, axis=0)):
         rotated = np.tensordot(u, state.amplitudes, axes=([1], [party]))
         rotated = np.moveaxis(rotated, 0, party)
         other = to_density(AmplitudeTensor(state.signature, rotated))
@@ -868,17 +871,18 @@ class SurveyStats:
 def genericity_survey(signature: PartySignature,
                       subsets: Sequence[Sequence[int]],
                       trials: int,
+                      seed: int,
                       config: ProjectionConfig = ProjectionConfig()) -> SurveyStats:
     """Run the uniqueness probe on Haar-random states.
 
-    Deterministic for a fixed config seed: trial t draws its state from
+    Deterministic for a fixed ``seed``: trial t draws its state from
     substream (seed, t, 0) and its restarts from (seed, t, 1, r).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     verdicts = []
     runtimes = []
-    base = SeededRng(config.seed)
+    base = SeededRng(seed)
     for trial in range(trials):
         t0 = time.perf_counter()
         state = haar_random_state(signature, base.spawn(trial).spawn(0))
@@ -887,4 +891,4 @@ def genericity_survey(signature: PartySignature,
         verdicts.append(verdict.verdict)
         runtimes.append(time.perf_counter() - t0)
     return SurveyStats(signature, tuple(_subset_key(s) for s in subsets),
-                       trials, config.seed, tuple(verdicts), tuple(runtimes))
+                       trials, seed, tuple(verdicts), tuple(runtimes))

@@ -27,7 +27,6 @@ __all__ = [
     "DensityMatrix",
     "haar_random_state",
     "to_density",
-    "partial_trace",
     "partial_trace_matrix",
     "coarse_grain",
     "gell_mann_basis",
@@ -173,9 +172,6 @@ class DensityMatrix:
     def dims(self) -> tuple[int, ...]:
         return self.signature.dims
 
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
-
 
 def haar_random_state(signature: PartySignature, rng: SeededRng) -> AmplitudeTensor:
     """Draw a Haar-distributed pure state on the given signature.
@@ -221,12 +217,6 @@ def partial_trace_matrix(mat: np.ndarray, dims: Sequence[int], keep: Sequence[in
     reduced = np.einsum(t, row + col, out)
     dk = int(np.prod([dims[p] for p in keep]))
     return reduced.reshape(dk, dk)
-
-
-def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
-    """Reduced density matrix on the parties in ``keep``."""
-    reduced = partial_trace_matrix(rho.matrix, rho.dims, keep)
-    return DensityMatrix(rho.signature.subsystem(keep), reduced)
 
 
 def coarse_grain(state: AmplitudeTensor, group_sizes: Sequence[int]) -> AmplitudeTensor:
@@ -313,30 +303,29 @@ def product_operators(dims: Sequence[int],
 # Eigen / SVD utilities
 # ---------------------------------------------------------------------------
 
-def rank_and_nullspace(matrix: np.ndarray, tol: float | None = None,
-                       rtol: float | None = None):
+def rank_and_nullspace(matrix: np.ndarray, rtol: float | None = None):
     """Numerical rank and an orthonormal null-space basis via SVD.
 
-    The zero threshold is ``max(rows, cols) * eps * sigma_max`` unless an
-    absolute ``tol`` or relative ``rtol`` (times ``sigma_max``) is supplied.
-    Returns ``(rank, null_basis)`` where the basis columns span the kernel.
+    A singular value counts as zero at or below ``rtol * sigma_max``; ``rtol``
+    must lie in (0, 1), and without it the threshold is
+    ``max(rows, cols) * eps * sigma_max``. Returns ``(rank, null_basis)``
+    where the basis columns span the kernel.
 
     The kernel is read off ``V``, never ``U``. A tall or square matrix's thin
     SVD already holds all of ``V`` (cols x cols), so the rows x rows ``U`` of
     a full SVD is never built; only a wide matrix, whose thin ``V`` has just
     ``rows`` rows, takes the full ``V``.
     """
+    if rtol is not None and not 0 < rtol < 1:
+        raise ValueError(f"rtol must lie in (0, 1), got {rtol}")
     m = np.atleast_2d(np.asarray(matrix))
     if m.size == 0:
         raise ValueError("empty matrix")
     _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
     smax = s[0] if s.size else 0.0
-    if tol is not None:
-        threshold = float(tol)
-    elif rtol is not None:
-        threshold = float(rtol) * smax
-    else:
-        threshold = max(m.shape) * np.finfo(float).eps * smax
+    if rtol is None:
+        rtol = max(m.shape) * np.finfo(float).eps
+    threshold = rtol * smax
     rank = int(np.sum(s > threshold))
     null_basis = vh[rank:].conj().T
     return rank, null_basis

@@ -44,7 +44,10 @@ UNIQUE_LINEAR = "UNIQUE_LINEAR"
 DEGENERATE = "DEGENERATE"
 
 DEFAULT_RANK_RTOL = 1e-8
-DEFAULT_PATTERN_TOL = 1e-8
+# Largest distance from the identity pattern that still reads as a match.
+_PATTERN_TOL = 1e-8
+# Largest total dimension that party_split will coarse-grain.
+_MAX_SPLIT_DIM = 4096
 
 
 @dataclass(frozen=True)
@@ -91,19 +94,6 @@ class ConsistencyMatrix:
         if self.matrix.shape != expect:
             raise ValueError(f"matrix shape {self.matrix.shape} != {expect}")
         self.matrix.setflags(write=False)
-
-    def column_of(self, kind: str, a: int, b: int) -> int:
-        """Column index of unknown e(a,b) or f(a,b), 0-based."""
-        p, n = self.shape.P, self.shape.N
-        if kind == "e":
-            if not (0 <= a < p and 0 <= b < p):
-                raise ValueError(f"e index ({a},{b}) out of range for P={p}")
-            return a * p + b
-        if kind == "f":
-            if not (0 <= a < n and 0 <= b < n):
-                raise ValueError(f"f index ({a},{b}) out of range for N={n}")
-            return p * p + a * n + b
-        raise ValueError(f"unknown kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -167,13 +157,12 @@ def identity_pattern_vector(shape: TripartiteShape) -> np.ndarray:
 
 
 def check_linear_uniqueness(a: AmplitudeTensor,
-                            rank_rtol: float = DEFAULT_RANK_RTOL,
-                            pattern_tol: float = DEFAULT_PATTERN_TOL) -> UniquenessVerdict:
+                            rank_rtol: float = DEFAULT_RANK_RTOL) -> UniquenessVerdict:
     """Kernel analysis of the consistency matrix of a tripartite state.
 
     The verdict is UNIQUE_LINEAR iff the numerical kernel is one-dimensional
     and spanned by the identity-pattern vector (residual below
-    ``pattern_tol``); any purification matching the AB and AC marginals is
+    ``_PATTERN_TOL``); any purification matching the AB and AC marginals is
     then the original state tensored with one environment state. Degenerate
     kernels are reported, never raised: non-generic states are a study
     target in their own right.
@@ -185,7 +174,7 @@ def check_linear_uniqueness(a: AmplitudeTensor,
     # Distance from the identity pattern to its projection on the kernel.
     proj = null_basis @ (null_basis.conj().T @ v_id)
     residual = float(np.linalg.norm(v_id - proj))
-    match = null_dim == 1 and residual < pattern_tol
+    match = null_dim == 1 and residual < _PATTERN_TOL
     verdict = UNIQUE_LINEAR if match else DEGENERATE
     return UniquenessVerdict(null_dim, match, residual, verdict, null_basis)
 
@@ -226,9 +215,7 @@ class EliminationReport:
     verdict: str = UNIQUE_LINEAR
 
 
-def sequential_elimination_trace(a: AmplitudeTensor,
-                                 rank_rtol: float = DEFAULT_RANK_RTOL,
-                                 pattern_tol: float = DEFAULT_PATTERN_TOL) -> EliminationReport:
+def sequential_elimination_trace(a: AmplitudeTensor) -> EliminationReport:
     """Replay the block elimination that solves the consistency system.
 
     Gauge: e(0,0) is pinned to 1 (the kernel's one free direction). The
@@ -256,7 +243,7 @@ def sequential_elimination_trace(a: AmplitudeTensor,
     steps: list[EliminationStep] = []
 
     def solve_block(index, label, block, rhs, labels):
-        rank, _ = rank_and_nullspace(block, rtol=rank_rtol)
+        rank, _ = rank_and_nullspace(block, rtol=DEFAULT_RANK_RTOL)
         if rank < block.shape[1]:
             raise RankDeficientBlockError(index, label, rank, block.shape[1])
         sol, res2, *_ = np.linalg.lstsq(block, rhs, rcond=None)
@@ -301,7 +288,7 @@ def sequential_elimination_trace(a: AmplitudeTensor,
     for r in range(n):
         target[p * p + r * n + r] = 1.0
     max_dev = float(np.abs(solution - target).max())
-    verdict = UNIQUE_LINEAR if max_dev < np.sqrt(n + p) * pattern_tol * 10 else DEGENERATE
+    verdict = UNIQUE_LINEAR if max_dev < np.sqrt(n + p) * _PATTERN_TOL * 10 else DEGENERATE
     return EliminationReport(tuple(steps), solution, max_dev, verdict)
 
 
@@ -318,21 +305,20 @@ class PartySplit:
         return self.marginal_party_count / self.total_parties
 
 
-def party_split(m: int, d: int, max_total_dim: int = 4096) -> PartySplit:
+def party_split(m: int, d: int) -> PartySplit:
     """Split 3m+1 d-level parties into groups of sizes (m+1, m, m).
 
     The coarse shape (d^(m+1), d^m, d^m) satisfies M >= N + P - 1, so two
     marginals covering 2m+1 of the 3m+1 parties suffice for generic states;
-    the covered fraction (2m+1)/(3m+1) decreases toward 2/3.
+    the covered fraction (2m+1)/(3m+1) decreases toward 2/3. A total
+    dimension d^(3m+1) above ``_MAX_SPLIT_DIM`` is rejected.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if d < 2:
         raise ValueError("d must be >= 2")
     total_dim = d ** (3 * m + 1)
-    if total_dim > max_total_dim:
-        raise ValueError(
-            f"total dimension {total_dim} exceeds the cap {max_total_dim}"
-        )
+    if total_dim > _MAX_SPLIT_DIM:
+        raise ValueError(f"total dimension {total_dim} exceeds the cap {_MAX_SPLIT_DIM}")
     shape = TripartiteShape(d ** (m + 1), d ** m, d ** m)
     return PartySplit(shape, 2 * m + 1, 3 * m + 1)

@@ -1,16 +1,26 @@
-"""Shared fixtures and independent reference implementations.
+"""Shared fixtures, test-only helpers and independent reference
+implementations.
 
 The reference code here deliberately avoids the library's own vectorized
 paths (explicit loops, legacy RandomState generator) so tests compare two
 independent routes to the same numbers.
+
+Every ``hypothesis`` test runs under one profile: derandomized, so tier-1
+draws the same examples on every run, with no deadline (probe times vary
+with the machine) and no example database.
 """
 
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from qmarginal.claims import ghz_state  # noqa: F401  (re-exported for the tests)
+from qmarginal.tensor import DensityMatrix, partial_trace_matrix
+
+settings.register_profile("qmarginal", deadline=None, derandomize=True, database=None)
+settings.load_profile("qmarginal")
 
 
 PAULI = {
@@ -69,6 +79,23 @@ def slow_partial_trace(mat: np.ndarray, dims, keep) -> np.ndarray:
                 acc += mat[flat(row), flat(col)]
             out[ridx, cidx] = acc
     return out
+
+
+def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
+    """Reduced density matrix on the parties in ``keep``."""
+    reduced = partial_trace_matrix(rho.matrix, rho.dims, keep)
+    return DensityMatrix(rho.signature.subsystem(keep), reduced)
+
+
+def purity(rho: DensityMatrix) -> float:
+    return float(np.trace(rho.matrix @ rho.matrix).real)
+
+
+def column_of(shape, kind: str, a: int, b: int) -> int:
+    """Column of unknown e(a,b) or f(a,b), 0-based, in the consistency
+    matrix of a tripartite shape: all e(l,k), then all f(r,j)."""
+    p, n = shape.P, shape.N
+    return a * p + b if kind == "e" else p * p + a * n + b
 
 
 def kron_all(mats):

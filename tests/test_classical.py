@@ -102,6 +102,16 @@ class TestCounterexamplePair:
         l1 = np.abs(p.probabilities - q.probabilities).sum()
         assert l1 == pytest.approx(0.05 * 8)
 
+    @pytest.mark.parametrize("epsilon", [np.inf, np.nan])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        with pytest.raises(ValueError, match="finite"):
+            counterexample_pair(3, 2, epsilon, SeededRng(7))
+
+    def test_single_variable_rejected(self):
+        # One variable has no (n-1)-variable marginal to hold fixed.
+        with pytest.raises(ValueError, match="n >= 2"):
+            counterexample_pair(1, 2, 0.01, SeededRng(7))
+
     def test_zero_epsilon_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             counterexample_pair(3, 2, 0.0, SeededRng(7))

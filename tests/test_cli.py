@@ -287,6 +287,25 @@ class TestUsage:
         assert code == EXIT_USAGE
         assert out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["check", "--mode", "linear", "--n", "3", "--d", "2", "--tol-rank", "nan"],
+        ["check", "--mode", "linear", "--n", "3", "--d", "2", "--tol-rank", "0"],
+        ["check", "--mode", "linear", "--n", "3", "--d", "2", "--tol-rank", "-1"],
+        ["check", "--mode", "oracle", "--n", "3", "--d", "2", "--subsets", "01,02,12",
+         "--tol-rank", "nan"],
+        ["check", "--mode", "linear", "--n", "3", "--d", "2", "--tol-converge", "nan"],
+        ["classical", "--n", "3", "--d", "2", "--epsilon", "inf"],
+        ["classical", "--n", "3", "--d", "2", "--epsilon", "nan"],
+        ["classical", "--n", "1", "--d", "2", "--epsilon", "0.01"],
+    ], ids=["linear-tol-rank-nan", "linear-tol-rank-0", "linear-tol-rank-negative",
+            "oracle-tol-rank-nan", "linear-tol-converge-nan", "classical-epsilon-inf",
+            "classical-epsilon-nan", "classical-one-variable"])
+    def test_invalid_float_or_size_is_a_usage_error(self, argv, capsys):
+        # No report: a NaN or Infinity in it would not be strict JSON.
+        code, out = run(argv, capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+
     def test_nan_state_names_the_problem(self, tmp_path, capsys):
         path = tmp_path / "nan.json"
         path.write_text(json.dumps({"schema": "qmarginal/state-v1", "dims": [2, 2, 2],

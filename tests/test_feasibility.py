@@ -276,14 +276,14 @@ class TestDykstraSolve:
 class TestUniquenessProbe:
     def test_haar_three_qubit_pairs_unique(self):
         state = haar([2, 2, 2], 60)
-        verdict = uniqueness_probe(state, PAIRS3, ProjectionConfig(seed=1))
+        verdict = uniqueness_probe(state, PAIRS3, rng=SeededRng(1))
         assert verdict.verdict == UNIQUE
         assert all(r.outcome == "returned_reference" for r in verdict.runs)
         assert all(r.distance <= 1e-4 for r in verdict.runs)
 
     def test_ghz_pairs_non_unique_with_verified_witness(self):
         state = ghz_state(3)
-        verdict = uniqueness_probe(state, PAIRS3, ProjectionConfig(seed=1))
+        verdict = uniqueness_probe(state, PAIRS3, rng=SeededRng(1))
         assert verdict.verdict == NON_UNIQUE
         assert not verdict.certified and verdict.decided_by == "dykstra"
         assert verdict.certificate_gap < _GAP_MIN
@@ -310,12 +310,12 @@ class TestUniquenessProbe:
 
     def test_full_subset_trivially_unique(self):
         state = haar([2, 2, 2], 61)
-        verdict = uniqueness_probe(state, [(0, 1, 2)], ProjectionConfig(seed=1))
+        verdict = uniqueness_probe(state, [(0, 1, 2)], rng=SeededRng(1))
         assert verdict.verdict == UNIQUE
 
     def test_uncovered_party_immediate_non_unique(self):
         state = haar([2, 2, 2], 62)
-        verdict = uniqueness_probe(state, [(0, 1)], ProjectionConfig(seed=1))
+        verdict = uniqueness_probe(state, [(0, 1)], rng=SeededRng(1))
         assert verdict.verdict == NON_UNIQUE
         assert verdict.max_marginal_residual < 1e-12
         assert verdict.pairwise_distances[0] > 1e-4
@@ -323,8 +323,22 @@ class TestUniquenessProbe:
         assert not verdict.certified and verdict.certificate_gap is None
         assert verdict.face_dim is None
 
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_uncovered_party_on_a_basis_vector_is_moved_by_the_shift(self, d):
+        # The clock phase leaves the party's basis vector where it is; the
+        # cyclic shift moves it to an orthogonal one.
+        rest = haar([2, 2], 65).vector()
+        for k in range(d):
+            vec = np.kron(rest, np.eye(d)[k])
+            state = AmplitudeTensor.from_vector(vec, [2, 2, d])
+            verdict = uniqueness_probe(state, [(0, 1)], rng=SeededRng(1))
+            assert verdict.verdict == NON_UNIQUE
+            assert verdict.decided_by == "uncovered_party"
+            assert verdict.pairwise_distances[0] == pytest.approx(1.0, abs=1e-12)
+            assert verdict.max_marginal_residual < 1e-12
+
     def test_non_unique_verdict_invariant(self):
-        verdict = uniqueness_probe(ghz_state(3), PAIRS3, ProjectionConfig(seed=2))
+        verdict = uniqueness_probe(ghz_state(3), PAIRS3, rng=SeededRng(2))
         assert verdict.verdict == NON_UNIQUE
         assert len(verdict.witnesses) >= 2
         assert all(d > 1e-4 for d in verdict.pairwise_distances)
@@ -339,7 +353,7 @@ class TestUniquenessProbe:
         # lifted witness is checked here in the full space, from partial
         # traces computed by loops.
         state = ghz_state(3, a)
-        verdict = uniqueness_probe(state, PAIRS3, ProjectionConfig(seed=4))
+        verdict = uniqueness_probe(state, PAIRS3, rng=SeededRng(4))
         assert verdict.verdict == NON_UNIQUE and verdict.face_dim == 2
         rho, witness = verdict.witnesses[0].matrix, verdict.witnesses[1].matrix
         assert witness.shape == (8, 8)
@@ -356,7 +370,7 @@ class TestUniquenessProbe:
         # A restart stopped by the iteration cap at the reference says
         # nothing; the uncertified probe must not call that UNIQUE.
         state = ambiguous_state()
-        config = ProjectionConfig(seed=1, restarts=2, max_iterations=300)
+        config = ProjectionConfig(restarts=2, max_iterations=300)
 
         def capped(starts, op, max_iterations, tol):
             reference = to_density(state).matrix
@@ -365,21 +379,20 @@ class TestUniquenessProbe:
                     np.zeros(n, dtype=bool))
 
         monkeypatch.setattr(feasibility, "_dykstra_batch", capped)
-        verdict = uniqueness_probe(state, PAIRS3, config)
+        verdict = uniqueness_probe(state, PAIRS3, config, rng=SeededRng(1))
         assert not verdict.certified
         assert [r.outcome for r in verdict.runs] == ["not_converged"] * 2
         assert verdict.verdict == INCONCLUSIVE
 
     def test_witness_stable_under_one_ulp_jacobian_change(self, monkeypatch):
-        config = ProjectionConfig(seed=3)
-        base = uniqueness_probe(ghz_state(3), PAIRS3, config).witnesses[1].matrix
+        base = uniqueness_probe(ghz_state(3), PAIRS3, rng=SeededRng(3)).witnesses[1].matrix
         lstsq = np.linalg.lstsq
 
         def scaled(a, b, rcond=None):
             return lstsq(a * (1 + 2.0 ** -52), b, rcond=rcond)
 
         monkeypatch.setattr(np.linalg, "lstsq", scaled)
-        moved = uniqueness_probe(ghz_state(3), PAIRS3, config).witnesses[1].matrix
+        moved = uniqueness_probe(ghz_state(3), PAIRS3, rng=SeededRng(3)).witnesses[1].matrix
         assert np.abs(moved - base).max() <= 1e-12
 
 
@@ -414,11 +427,11 @@ class TestExitParameter:
     def test_chord_ends_on_a_pure_state_of_the_ghz_face(self, a):
         state = ghz_state(3, a)
         cs = MarginalConstraintSet.from_state(state, PAIRS3)
-        _, _, face, _ = _face_certificate(cs, ConstraintOperator(cs), _DISTINCTNESS_TOL)
+        face = _face_certificate(cs, ConstraintOperator(cs), _DISTINCTNESS_TOL)[2]
         assert face.shape == (8, 2)
         rho = to_density(state).matrix
         psi = face.conj().T @ state.vector()
-        witness = uniqueness_probe(state, PAIRS3, ProjectionConfig(seed=4)).witnesses[1]
+        witness = uniqueness_probe(state, PAIRS3, rng=SeededRng(4)).witnesses[1]
         # The probe's witness and the dephased mixture, on the face.
         mix = np.diag(np.diag(rho))
         for w in (witness.matrix, mix):
@@ -449,21 +462,37 @@ def probe_calls(monkeypatch):
     return counts
 
 
+class TestFaceOperator:
+    def test_restricted_map_built_once_per_probe(self, monkeypatch):
+        # The face certificate and the face restarts share one restricted map.
+        calls = []
+        real = feasibility._restricted_map
+
+        def counted(op, basis):
+            calls.append(basis.shape)
+            return real(op, basis)
+
+        monkeypatch.setattr(feasibility, "_restricted_map", counted)
+        verdict = uniqueness_probe(ghz_state(3), PAIRS3, rng=SeededRng(1))
+        assert verdict.verdict == NON_UNIQUE and verdict.face_dim == 2
+        assert calls == [(8, 2)]
+
+
 class TestWitnessPursuit:
     def test_non_unique_probe_pursues_one_witness(self, probe_calls):
-        verdict = uniqueness_probe(ghz_state(3), PAIRS3, ProjectionConfig(seed=1))
+        verdict = uniqueness_probe(ghz_state(3), PAIRS3, rng=SeededRng(1))
         assert verdict.verdict == NON_UNIQUE
         assert sum(r.outcome == "witness" for r in verdict.runs) > 1
         assert probe_calls["_pursue_far"] == 1
 
     def test_certified_probe_neither_certifies_nor_pursues(self, probe_calls):
-        verdict = uniqueness_probe(haar([2, 2, 2], 60), PAIRS3, ProjectionConfig(seed=1))
+        verdict = uniqueness_probe(haar([2, 2, 2], 60), PAIRS3, rng=SeededRng(1))
         assert verdict.certified
         assert probe_calls == {"_pursue_far": 0, "_certify": 0}
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_reported_witness_is_the_farthest(self, seed):
-        verdict = uniqueness_probe(ghz_state(3, 0.55), PAIRS3, ProjectionConfig(seed=seed))
+        verdict = uniqueness_probe(ghz_state(3, 0.55), PAIRS3, rng=SeededRng(seed))
         reported = verdict.pairwise_distances[0]
         witness_runs = [r for r in verdict.runs if r.outcome == "witness"]
         assert witness_runs
@@ -500,7 +529,7 @@ class TestOracleInvariance:
     properties of the local-unitary orbit and do not depend on how the
     parties are numbered."""
 
-    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=50)
     @given(case=st.sampled_from(sorted(ORACLE_CASES)),
            state_seed=st.integers(0, 2 ** 32 - 1),
            unitary_seed=st.integers(0, 2 ** 32 - 1),
@@ -514,19 +543,19 @@ class TestOracleInvariance:
         rotated = rotate_parties(state, [haar_unitary(rng, d) for d in dims])
         perm = data.draw(st.permutations(range(len(dims))))
         relabelled, renamed = permute_parties(state, subsets, perm)
-        config = ProjectionConfig(seed=1)
+        restarts = SeededRng(1)
 
         def summary(v):
             return v.verdict, v.decided_by, v.certified, v.face_dim
 
-        before = summary(uniqueness_probe(state, subsets, config))
+        before = summary(uniqueness_probe(state, subsets, rng=restarts))
         assert before[:2] == (verdict, decided_by)
-        assert summary(uniqueness_probe(rotated, subsets, config)) == before
-        assert summary(uniqueness_probe(relabelled, renamed, config)) == before
+        assert summary(uniqueness_probe(rotated, subsets, rng=restarts)) == before
+        assert summary(uniqueness_probe(relabelled, renamed, rng=restarts)) == before
 
 
 class TestOracleProperties:
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=40)
     @given(a2=st.floats(0.2, 0.8),
            unitary_seed=st.integers(0, 2 ** 32 - 1),
            restart_seed=st.integers(0, 2 ** 32 - 1))
@@ -535,7 +564,7 @@ class TestOracleProperties:
         rng = np.random.default_rng(unitary_seed)
         state = rotate_parties(ghz_state(3, np.sqrt(a2)),
                                [haar_unitary(rng, 2) for _ in range(3)])
-        verdict = uniqueness_probe(state, PAIRS3, ProjectionConfig(seed=restart_seed))
+        verdict = uniqueness_probe(state, PAIRS3, rng=SeededRng(restart_seed))
         assert verdict.verdict == NON_UNIQUE
         rho, witness = verdict.witnesses[0].matrix, verdict.witnesses[1].matrix
         for subset in PAIRS3:
@@ -549,14 +578,13 @@ class TestOracleProperties:
         assert dist > 1e-4
         assert abs(dist - verdict.pairwise_distances[0]) <= 1e-12
 
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=40)
     @given(case=st.sampled_from(sorted(c for c in ORACLE_CASES if c.startswith("haar"))),
            state_seed=st.integers(0, 2 ** 32 - 1),
            restart_seed=st.integers(0, 2 ** 32 - 1))
     def test_certificate_implies_unique(self, case, state_seed, restart_seed):
         dims, subsets, _, _ = ORACLE_CASES[case]
-        verdict = uniqueness_probe(haar(dims, state_seed), subsets,
-                                   ProjectionConfig(seed=restart_seed))
+        verdict = uniqueness_probe(haar(dims, state_seed), subsets, rng=SeededRng(restart_seed))
         if verdict.certified:
             assert verdict.verdict == UNIQUE
             assert all(r.outcome == "returned_reference" and r.distance <= _DISTINCTNESS_TOL
@@ -571,7 +599,7 @@ class TestProjectionConfig:
         assert config.restarts == 8
         assert _PERTURBATION_SCALE == 0.1
         assert [f.name for f in dataclasses.fields(config)] == \
-            ["max_iterations", "convergence_tol", "restarts", "seed"]
+            ["max_iterations", "convergence_tol", "restarts"]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -613,13 +641,12 @@ class TestMarginalConstraintSet:
 class TestGenericitySurvey:
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError, match="trials"):
-            genericity_survey(PartySignature([2, 2, 2]), PAIRS3, 0)
+            genericity_survey(PartySignature([2, 2, 2]), PAIRS3, 0, seed=5)
 
     def test_deterministic_and_unique_on_small_run(self):
         sig = PartySignature([2, 2, 2])
-        config = ProjectionConfig(seed=5)
-        a = genericity_survey(sig, PAIRS3, 5, config)
-        b = genericity_survey(sig, PAIRS3, 5, config)
+        a = genericity_survey(sig, PAIRS3, 5, seed=5)
+        b = genericity_survey(sig, PAIRS3, 5, seed=5)
         assert a.verdicts == b.verdicts
         assert a.trials == 5
         assert a.unique_fraction >= 0.8
@@ -628,8 +655,7 @@ class TestGenericitySurvey:
     def test_four_qubit_triple_subsets(self):
         # The (m=1) split seen at party granularity: subsets {ABC, ABD}.
         sig = PartySignature([2, 2, 2, 2])
-        stats = genericity_survey(sig, [(0, 1, 2), (0, 1, 3)], 3,
-                                  ProjectionConfig(seed=6))
+        stats = genericity_survey(sig, [(0, 1, 2), (0, 1, 3)], 3, seed=6)
         assert stats.unique_fraction == 1.0
 
 
@@ -666,8 +692,8 @@ class TestFaceCertificate:
             "4x2x2-abac-74", "5q-triples-75"])
     def test_certified_unique_agrees_with_full_dykstra_path(self, dims, subsets, seed):
         state = haar(dims, seed)
-        config = ProjectionConfig(seed=1)
-        verdict = uniqueness_probe(state, subsets, config)
+        config = ProjectionConfig()
+        verdict = uniqueness_probe(state, subsets, config, rng=SeededRng(1))
         assert verdict.verdict == UNIQUE
         assert verdict.certified and verdict.decided_by == "certificate"
         assert verdict.certificate_gap >= _GAP_MIN
@@ -720,8 +746,8 @@ class TestFaceCertificate:
         state = ambiguous_state(eps)
         holds, gap = certificate(state, PAIRS3)
         assert not holds and abs(gap - eps) < 1e-9
-        config = ProjectionConfig(seed=1, restarts=2, max_iterations=300)
-        verdict = uniqueness_probe(state, PAIRS3, config)
+        config = ProjectionConfig(restarts=2, max_iterations=300)
+        verdict = uniqueness_probe(state, PAIRS3, config, rng=SeededRng(1))
         assert not verdict.certified and verdict.decided_by == "dykstra"
         assert verdict.certificate_gap == gap
         # The whole-space path: an ambiguous value forbids the face.
@@ -752,8 +778,8 @@ class TestParentHamiltonian:
         assert gap >= _GAP_MIN
 
     def test_probe_certifies_four_qubit_pairs(self):
-        config = ProjectionConfig(seed=1)
-        verdict = uniqueness_probe(haar([2, 2, 2, 2], 1003), PAIRS4, config)
+        config = ProjectionConfig()
+        verdict = uniqueness_probe(haar([2, 2, 2, 2], 1003), PAIRS4, config, rng=SeededRng(1))
         assert verdict.verdict == UNIQUE and verdict.certified
         assert verdict.decided_by == "parent_hamiltonian"
         assert verdict.certificate_gap >= _GAP_MIN

@@ -16,6 +16,19 @@ def test_public_names_resolve_and_are_not_modules():
     assert_public_names_resolve(qmarginal)
 
 
-@pytest.mark.parametrize("name", ["tensor", "bounds", "classical", "feasibility", "uniqueness"])
+LIBRARY_MODULES = ["tensor", "bounds", "classical", "feasibility", "uniqueness"]
+
+
+@pytest.mark.parametrize("name", LIBRARY_MODULES)
 def test_submodule_public_names_resolve_and_are_not_modules(name):
     assert_public_names_resolve(importlib.import_module(f"qmarginal.{name}"))
+
+
+def test_package_exports_exactly_the_library_modules_public_names():
+    union = set()
+    for name in LIBRARY_MODULES:
+        module = importlib.import_module(f"qmarginal.{name}")
+        union.update(module.__all__)
+        for public in module.__all__:
+            assert getattr(qmarginal, public) is getattr(module, public), public
+    assert set(qmarginal.__all__) == union

@@ -12,7 +12,6 @@ from qmarginal.tensor import (
     gell_mann_basis,
     haar_random_state,
     herm_to_vec,
-    partial_trace,
     partial_trace_matrix,
     product_operators,
     rank_and_nullspace,
@@ -23,7 +22,8 @@ from qmarginal.tensor import (
 
 from qmarginal.uniqueness import DEFAULT_RANK_RTOL, build_consistency_matrix
 
-from conftest import PAULI, ghz_state, kron_all, random_density, random_hermitian, slow_partial_trace
+from conftest import (PAULI, ghz_state, kron_all, partial_trace, purity, random_density,
+                      random_hermitian, slow_partial_trace)
 
 # Mean single-party purity of Haar 3-qubit states, computed by brute-force
 # Monte Carlo with an independent generator (RandomState Mersenne stream,
@@ -79,7 +79,7 @@ class TestHaarRandomState:
         for trial in range(1000):
             rho = to_density(haar_random_state(sig, rng.spawn(trial)))
             for party in range(3):
-                purities.append(partial_trace(rho, [party]).purity())
+                purities.append(purity(partial_trace(rho, [party])))
         assert abs(np.mean(purities) - HAAR_PURITY_REFERENCE) < 0.012
 
 
@@ -285,6 +285,11 @@ class TestRankAndNullspace:
         assert rank == 3
         assert np.allclose(basis.conj().T @ basis, np.eye(3), atol=1e-12)
         assert np.abs(m @ basis).max() < 1e-12
+
+    @pytest.mark.parametrize("rtol", [np.nan, 0.0, -1.0, 1.0, np.inf])
+    def test_rtol_outside_the_unit_interval_rejected(self, rtol):
+        with pytest.raises(ValueError, match="rtol"):
+            rank_and_nullspace(np.eye(3), rtol=rtol)
 
 
 def full_svd_reference(m, rtol=None):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmarginal import uniqueness
 from qmarginal.tensor import AmplitudeTensor, PartySignature, SeededRng, haar_random_state
 from qmarginal.uniqueness import (
     DEGENERATE,
@@ -16,7 +17,7 @@ from qmarginal.uniqueness import (
     sequential_elimination_trace,
 )
 
-from conftest import ghz_state, haar_unitary
+from conftest import column_of, ghz_state, haar_unitary
 
 
 def haar(shape, seed):
@@ -49,9 +50,9 @@ class TestConsistencyMatrix:
                     row = cm.matrix[(i * n + j) * p + k]
                     expected = np.zeros(p * p + n * n, dtype=complex)
                     for l in range(p):
-                        expected[cm.column_of("e", l, k)] += a[i, j, l]
+                        expected[column_of(cm.shape, "e", l, k)] += a[i, j, l]
                     for r in range(n):
-                        expected[cm.column_of("f", r, j)] -= a[i, r, k]
+                        expected[column_of(cm.shape, "f", r, j)] -= a[i, r, k]
                     assert np.array_equal(row, expected)
 
     def test_identity_vector_always_in_kernel(self):
@@ -136,7 +137,7 @@ class TestCheckLinearUniqueness:
 class TestLocalUnitaryInvariance:
     """Verdict and kernel dimension are properties of the local-unitary orbit."""
 
-    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=30)
     @given(shape=st.sampled_from([(4, 2, 2), (8, 4, 4)]),
            state_seed=st.integers(0, 2 ** 32 - 1),
            unitary_seed=st.integers(0, 2 ** 32 - 1),
@@ -205,8 +206,9 @@ class TestPartySplit:
         assert split.marginal_party_count == 5
         assert split.total_parties == 7
 
-    def test_fraction_decreases_to_two_thirds(self):
-        fracs = [party_split(m, 2, max_total_dim=1 << 40).fraction for m in range(1, 12)]
+    def test_fraction_decreases_to_two_thirds(self, monkeypatch):
+        monkeypatch.setattr(uniqueness, "_MAX_SPLIT_DIM", 1 << 40)
+        fracs = [party_split(m, 2).fraction for m in range(1, 12)]
         assert all(a > b for a, b in zip(fracs, fracs[1:]))
         assert all(f > 2 / 3 for f in fracs)
         assert fracs[-1] == pytest.approx(2 / 3, abs=0.02)
