@@ -41,7 +41,6 @@ from .tensor import (
 from .uniqueness import (
     UNIQUE_LINEAR,
     check_linear_uniqueness,
-    party_split,
 )
 
 STATE_SCHEMA = "qmarginal/state-v1"
@@ -220,9 +219,7 @@ def cmd_check(args) -> int:
                     f"--m {args.m} needs {3 * args.m + 1} parties, state has {n_parties}")
             if not state.signature.is_uniform():
                 raise UsageError("--m split requires equal local dimensions")
-            split = party_split(args.m, state.signature.dims[0])
             tri = coarse_grain(state, (args.m + 1, args.m, args.m))
-            assert tri.signature.dims == (split.shape.M, split.shape.N, split.shape.P)
         else:
             raise UsageError(
                 "mode=linear needs a tripartite state or --m to group parties")

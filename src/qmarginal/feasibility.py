@@ -48,6 +48,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -57,6 +58,7 @@ from .tensor import (
     DensityMatrix,
     PartySignature,
     SeededRng,
+    _freeze,
     haar_random_state,
     herm_to_vec,
     partial_trace_matrix,
@@ -115,6 +117,9 @@ _DUAL_STEPS = 60
 # Gauss-Newton steps per polish, and extrapolation rounds per witness pursuit.
 _POLISH_STEPS = 30
 _PURSUIT_ROUNDS = 40
+# Shapes (dims and subsets) whose constraint layout stays cached. At 7
+# qubits one layout's rows take 260 MB and stay resident while cached.
+_LAYOUT_CACHE_SIZE = 8
 
 
 def _subset_key(subset: Sequence[int]) -> tuple[int, ...]:
@@ -209,6 +214,11 @@ class ConstraintOperator:
     (``weights`` holds the sum of those dimensions), which is the
     least-squares compromise when the targets disagree. Unit trace is the
     marginal on the empty subset, whose complement is the whole system.
+
+    ``rows`` and ``weights`` depend only on the dimensions and the subsets,
+    so they come from :func:`_constraint_layout`, built once per shape and
+    shared, read-only, by every operator of that shape; only ``target`` is
+    computed per state.
     """
 
     def __init__(self, constraints: MarginalConstraintSet):
@@ -217,23 +227,17 @@ class ConstraintOperator:
         t = constraints.signature.total_dim
         self.dims = dims
         self.total_dim = t
-        # label -> [sum of weight * value, sum of weights]. Unit trace is the
-        # marginal on the empty subset: weight T, value 1/sqrt(T).
-        sums = {(0,) * len(dims): [np.sqrt(t), float(t)]}
-        for subset, target in constraints.constraints:
-            pinned = list(_labels_within(dims, subset))
-            local = product_operators(target.dims, [[lab[p] for p in subset] for lab in pinned])
+        self.rows, self.weights, pinned = _constraint_layout(
+            dims, tuple(subset for subset, _ in constraints.constraints))
+        # Sum of weight * value per label, then divided by the summed weights.
+        # Unit trace is the marginal on the empty subset: weight T, value
+        # 1/sqrt(T), on the identity label, which sorts first.
+        acc = np.zeros(len(self.weights))
+        acc[0] = np.sqrt(t)
+        for (idx, local, d_rest), (_, target) in zip(pinned, constraints.constraints):
             # Tr(X (B_S x I/sqrt(d_rest))) = Tr(X_S B_S) / sqrt(d_rest)
-            d_rest = t // target.signature.total_dim
-            values = herm_to_vec(local) @ herm_to_vec(target.matrix) / np.sqrt(d_rest)
-            for lab, v in zip(pinned, values):
-                acc = sums.setdefault(lab, [0.0, 0.0])
-                acc[0] += d_rest * v
-                acc[1] += d_rest
-        labels = sorted(sums)
-        self.rows = herm_to_vec(product_operators(dims, labels))
-        self.target = np.array([sums[lab][0] / sums[lab][1] for lab in labels])
-        self.weights = np.array([sums[lab][1] for lab in labels])
+            acc[idx] += d_rest * (local @ herm_to_vec(target.matrix) / np.sqrt(d_rest))
+        self.target = acc / self.weights
 
     # -- projections (vector form used in hot loops, matrix form for the API)
 
@@ -254,6 +258,41 @@ def _labels_within(dims: Sequence[int], subset: Sequence[int]):
     """Product-operator labels whose support lies inside ``subset``."""
     return itertools.product(*(range(d * d) if p in subset else (0,)
                                for p, d in enumerate(dims)))
+
+
+@lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
+def _constraint_layout(dims: tuple[int, ...], subsets: tuple[tuple[int, ...], ...]):
+    """The part of :class:`ConstraintOperator` that depends only on the shape.
+
+    ``subsets`` are normalized subset keys in constraint order. Returns
+    ``(rows, weights, pinned)``: ``rows`` and ``weights`` as on the
+    operator, over the sorted labels, and per subset ``(idx, local,
+    d_rest)``, where ``idx`` places the subset's labels in the sorted list,
+    ``local`` holds the :func:`herm_to_vec` coordinates of the subset's own
+    product operators in the same order (one matrix per distinct subset
+    dims) and ``d_rest`` is the dimension of the subset's complement. Every
+    operator of the shape shares these arrays, so they are read-only.
+    """
+    t = int(np.prod(dims))
+    weights = {(0,) * len(dims): float(t)}
+    local_by_dims: dict[tuple[int, ...], np.ndarray] = {}
+    terms = []
+    for subset in subsets:
+        sub_dims = tuple(dims[p] for p in subset)
+        if sub_dims not in local_by_dims:
+            local_by_dims[sub_dims] = _freeze(herm_to_vec(product_operators(
+                sub_dims, list(_labels_within(sub_dims, range(len(sub_dims)))))))
+        d_rest = t // int(np.prod(sub_dims))
+        labels = list(_labels_within(dims, subset))
+        for lab in labels:
+            weights[lab] = weights.get(lab, 0.0) + d_rest
+        terms.append((labels, local_by_dims[sub_dims], d_rest))
+    order = sorted(weights)
+    index = {lab: i for i, lab in enumerate(order)}
+    pinned = tuple((_freeze(np.array([index[lab] for lab in labels])), local, d_rest)
+                   for labels, local, d_rest in terms)
+    return (_freeze(herm_to_vec(product_operators(dims, order))),
+            _freeze(np.array([weights[lab] for lab in order])), pinned)
 
 
 def constraint_nullspace(signature: PartySignature,
@@ -674,8 +713,10 @@ class FeasibilityVerdict:
     to within the convergence tolerance and the distinct ones are separated
     from the reference by more than the distinctness tolerance.
 
-    ``certified`` is True when a certificate proved UNIQUE and every
-    restart agreed with it. ``decided_by`` names the path that decided:
+    ``certified`` is True when a certificate proved UNIQUE and the
+    cross-check agreed with it: one Dykstra run from the reference, which
+    ``runs`` lists once per restart because every restart would have
+    started there. ``decided_by`` names the path that decided:
     ``"certificate"`` (the face certificate; then ``certified``),
     ``"parent_hamiltonian"`` (the parent-Hamiltonian certificate; then
     ``certified``), ``"dykstra"`` (the restarts and, for NON_UNIQUE, a
@@ -708,14 +749,16 @@ def uniqueness_probe(pure_state: AmplitudeTensor,
 
     The face certificate is tried first, and where no marginal has a
     kernel the parent-Hamiltonian certificate; when either proves UNIQUE
-    there is no direction to perturb along, so every restart starts at the
-    reference and returns after one iteration, a cheap cross-check of the
-    proof. Otherwise starting points are the reference state perturbed
-    along random constraint-kernel directions (where any second consistent
-    state must live), reprojected by the solver; when the face certificate
-    read a proper subspace ``K`` without ambiguity, all of this runs on the
-    k x k matrices of ``Herm(K)``, and each outcome is lifted back to the
-    whole space before it is measured or verified. UNIQUE requires every
+    there is no direction to perturb along, so every restart would start at
+    the reference: one Dykstra run from the reference, a cheap cross-check
+    of the proof, stands for every restart and its record is reported
+    ``config.restarts`` times. Otherwise starting points are the reference
+    state perturbed along random constraint-kernel directions (where any
+    second consistent state must live), reprojected by the solver; when the
+    face certificate read a proper subspace ``K`` without ambiguity, all of
+    this runs on the k x k matrices of ``Herm(K)``, and each outcome is
+    lifted back to the whole space before it is measured or verified.
+    UNIQUE requires every
     restart to converge back to the reference within the distinctness
     tolerance; NON_UNIQUE requires a directly verified distinct witness,
     and only the verified witness with the longest exit chord is pushed
@@ -751,7 +794,7 @@ def uniqueness_probe(pure_state: AmplitudeTensor,
     reference = rho.matrix if basis is None else basis.conj().T @ rho.matrix @ basis
 
     if certified_by:
-        starts = [reference] * config.restarts
+        starts = [reference]
     else:
         starts = [_kernel_start(reference, search, rng.spawn(r))
                   for r in range(config.restarts)]
@@ -760,7 +803,7 @@ def uniqueness_probe(pure_state: AmplitudeTensor,
 
     runs: list[RunRecord] = []
     found: list[tuple[float, np.ndarray]] = []    # (distance, polished witness)
-    for i in range(config.restarts):
+    for i in range(len(starts)):
         converged = bool(conv[i])
         dist = trace_distance(_lift(outs[i], basis), rho.matrix)
         # A restart stopped by the iteration cap proves nothing by where it
@@ -777,6 +820,10 @@ def uniqueness_probe(pure_state: AmplitudeTensor,
                     found.append((away, polished))
                     outcome = WITNESS
         runs.append(RunRecord(outcome, converged, int(iters[i]), dist))
+    if certified_by:
+        # Every restart would start at the reference, so the one run stands
+        # for all of them.
+        runs *= config.restarts
 
     face_dim = search.total_dim
     if found:

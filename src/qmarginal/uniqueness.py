@@ -32,12 +32,10 @@ __all__ = [
     "RankDeficientBlockError",
     "EliminationStep",
     "EliminationReport",
-    "PartySplit",
     "build_consistency_matrix",
     "identity_pattern_vector",
     "check_linear_uniqueness",
     "sequential_elimination_trace",
-    "party_split",
 ]
 
 UNIQUE_LINEAR = "UNIQUE_LINEAR"
@@ -46,8 +44,6 @@ DEGENERATE = "DEGENERATE"
 DEFAULT_RANK_RTOL = 1e-8
 # Largest distance from the identity pattern that still reads as a match.
 _PATTERN_TOL = 1e-8
-# Largest total dimension that party_split will coarse-grain.
-_MAX_SPLIT_DIM = 4096
 
 
 @dataclass(frozen=True)
@@ -290,35 +286,3 @@ def sequential_elimination_trace(a: AmplitudeTensor) -> EliminationReport:
     max_dev = float(np.abs(solution - target).max())
     verdict = UNIQUE_LINEAR if max_dev < np.sqrt(n + p) * _PATTERN_TOL * 10 else DEGENERATE
     return EliminationReport(tuple(steps), solution, max_dev, verdict)
-
-
-@dataclass(frozen=True)
-class PartySplit:
-    """Canonical coarse graining of (3m+1) d-level parties into three groups."""
-
-    shape: TripartiteShape
-    marginal_party_count: int
-    total_parties: int
-
-    @property
-    def fraction(self) -> float:
-        return self.marginal_party_count / self.total_parties
-
-
-def party_split(m: int, d: int) -> PartySplit:
-    """Split 3m+1 d-level parties into groups of sizes (m+1, m, m).
-
-    The coarse shape (d^(m+1), d^m, d^m) satisfies M >= N + P - 1, so two
-    marginals covering 2m+1 of the 3m+1 parties suffice for generic states;
-    the covered fraction (2m+1)/(3m+1) decreases toward 2/3. A total
-    dimension d^(3m+1) above ``_MAX_SPLIT_DIM`` is rejected.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    total_dim = d ** (3 * m + 1)
-    if total_dim > _MAX_SPLIT_DIM:
-        raise ValueError(f"total dimension {total_dim} exceeds the cap {_MAX_SPLIT_DIM}")
-    shape = TripartiteShape(d ** (m + 1), d ** m, d ** m)
-    return PartySplit(shape, 2 * m + 1, 3 * m + 1)

@@ -11,13 +11,15 @@ with the machine) and no example database.
 """
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from qmarginal.claims import ghz_state  # noqa: F401  (re-exported for the tests)
-from qmarginal.tensor import DensityMatrix, partial_trace_matrix
+from qmarginal.tensor import DensityMatrix, herm_to_vec, partial_trace_matrix, product_operators
+from qmarginal.uniqueness import TripartiteShape
 
 settings.register_profile("qmarginal", deadline=None, derandomize=True, database=None)
 settings.load_profile("qmarginal")
@@ -91,11 +93,71 @@ def purity(rho: DensityMatrix) -> float:
     return float(np.trace(rho.matrix @ rho.matrix).real)
 
 
+def reference_constraint_fields(constraints):
+    """``rows``, ``target`` and ``weights`` of a ``ConstraintOperator``,
+    built label by label from the constraints alone, with no shared layout."""
+    dims = constraints.signature.dims
+    t = constraints.signature.total_dim
+    # label -> [sum of weight * value, sum of weights]
+    sums = {(0,) * len(dims): [np.sqrt(t), float(t)]}
+    for subset, target in constraints.constraints:
+        pinned = list(itertools.product(*(range(d * d) if p in subset else (0,)
+                                          for p, d in enumerate(dims))))
+        local = product_operators(target.dims, [[lab[p] for p in subset] for lab in pinned])
+        d_rest = t // target.signature.total_dim
+        values = herm_to_vec(local) @ herm_to_vec(target.matrix) / np.sqrt(d_rest)
+        for lab, v in zip(pinned, values):
+            acc = sums.setdefault(lab, [0.0, 0.0])
+            acc[0] += d_rest * v
+            acc[1] += d_rest
+    labels = sorted(sums)
+    rows = herm_to_vec(product_operators(dims, labels))
+    target = np.array([sums[lab][0] / sums[lab][1] for lab in labels])
+    weights = np.array([sums[lab][1] for lab in labels])
+    return rows, target, weights
+
+
 def column_of(shape, kind: str, a: int, b: int) -> int:
     """Column of unknown e(a,b) or f(a,b), 0-based, in the consistency
     matrix of a tripartite shape: all e(l,k), then all f(r,j)."""
     p, n = shape.P, shape.N
     return a * p + b if kind == "e" else p * p + a * n + b
+
+
+# Largest total dimension that party_split will coarse-grain.
+_MAX_SPLIT_DIM = 4096
+
+
+@dataclass(frozen=True)
+class PartySplit:
+    """Canonical coarse graining of (3m+1) d-level parties into three groups."""
+
+    shape: TripartiteShape
+    marginal_party_count: int
+    total_parties: int
+
+    @property
+    def fraction(self) -> float:
+        return self.marginal_party_count / self.total_parties
+
+
+def party_split(m: int, d: int) -> PartySplit:
+    """Split 3m+1 d-level parties into groups of sizes (m+1, m, m).
+
+    The coarse shape (d^(m+1), d^m, d^m) satisfies M >= N + P - 1, so two
+    marginals covering 2m+1 of the 3m+1 parties suffice for generic states;
+    the covered fraction (2m+1)/(3m+1) decreases toward 2/3. A total
+    dimension d^(3m+1) above ``_MAX_SPLIT_DIM`` is rejected.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if d < 2:
+        raise ValueError("d must be >= 2")
+    total_dim = d ** (3 * m + 1)
+    if total_dim > _MAX_SPLIT_DIM:
+        raise ValueError(f"total dimension {total_dim} exceeds the cap {_MAX_SPLIT_DIM}")
+    shape = TripartiteShape(d ** (m + 1), d ** m, d ** m)
+    return PartySplit(shape, 2 * m + 1, 3 * m + 1)
 
 
 def kron_all(mats):

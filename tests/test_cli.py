@@ -97,6 +97,17 @@ class TestCheck:
         assert lin["null_dim"] == 1
         assert lin["shape"] == [4, 2, 2]
 
+    def test_linear_split_past_4096_amplitudes(self, tmp_path):
+        # m = 4: 13 qubits, covered fraction 9/13.
+        out = tmp_path / "report.json"
+        code = main(["check", "--seed", "1", "--n", "13", "--d", "2",
+                     "--m", "4", "--mode", "linear", "--out", str(out)])
+        assert code == EXIT_OK
+        lin = load_json(out)["results"]["linear"]
+        assert lin["verdict"] == "UNIQUE_LINEAR"
+        assert lin["null_dim"] == 1
+        assert lin["shape"] == [32, 16, 16]
+
     def test_linear_without_grouping_usage_error(self, capsys):
         code, _ = run(["check", "--seed", "11", "--n", "5", "--d", "2",
                        "--mode", "linear"], capsys)

@@ -42,7 +42,7 @@ from qmarginal.tensor import (
 from qmarginal.uniqueness import UNIQUE_LINEAR, check_linear_uniqueness
 
 from conftest import (PAULI, ghz_state, haar_unitary, kron_all, random_density,
-                      random_hermitian, slow_partial_trace)
+                      random_hermitian, reference_constraint_fields, slow_partial_trace)
 
 PAIRS3 = [(0, 1), (0, 2), (1, 2)]
 PAIRS4 = list(itertools.combinations(range(4), 2))
@@ -476,6 +476,102 @@ class TestFaceOperator:
         verdict = uniqueness_probe(ghz_state(3), PAIRS3, rng=SeededRng(1))
         assert verdict.verdict == NON_UNIQUE and verdict.face_dim == 2
         assert calls == [(8, 2)]
+
+
+LAYOUT_CASES = {
+    "3-qubit pairs": ((2, 2, 2), PAIRS3),
+    "4x2x2 AB/AC": ((4, 2, 2), ABAC),
+    "5-qubit triples": ((2,) * 5, TRIPLES5),
+    "4-qubit pairs": ((2,) * 4, PAIRS4),
+    "332 unsorted subset": ((3, 3, 2), [(1, 0), (1, 2)]),
+    "repeated subset": ((2, 2, 2), [(0, 1), (1, 2), (0, 1)]),
+}
+
+
+def mixed_constraints(dims, subsets, seed):
+    """Each subset's target from its own Haar state, so a label that
+    several subsets pin gets disagreeing values to average."""
+    signature = PartySignature(dims)
+    return MarginalConstraintSet(signature, [
+        (s, DensityMatrix(signature.subsystem(sorted(s)), partial_trace_matrix(
+            to_density(haar(dims, seed + i)).matrix, dims, sorted(s))))
+        for i, s in enumerate(subsets)])
+
+
+class TestConstraintLayout:
+    @pytest.mark.parametrize("dims, subsets", LAYOUT_CASES.values(), ids=LAYOUT_CASES)
+    def test_fields_equal_the_label_by_label_build(self, dims, subsets):
+        feasibility._constraint_layout.cache_clear()
+        for seed in (10, 20):       # a cold layout, then the cached one
+            cs = mixed_constraints(dims, subsets, seed)
+            op = ConstraintOperator(cs)
+            rows, target, weights = reference_constraint_fields(cs)
+            assert np.array_equal(op.rows, rows)
+            assert np.array_equal(op.target, target)
+            assert np.array_equal(op.weights, weights)
+
+    def test_second_operator_of_a_shape_builds_no_product_operators(self, monkeypatch):
+        feasibility._constraint_layout.cache_clear()
+        calls = []
+        real = feasibility.product_operators
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(feasibility, "product_operators", counted)
+        ConstraintOperator(mixed_constraints((2,) * 5, TRIPLES5, 1))
+        assert calls
+        calls.clear()
+        ConstraintOperator(mixed_constraints((2,) * 5, TRIPLES5, 2))
+        assert calls == []
+
+    def test_shared_layout_is_read_only(self):
+        op = ConstraintOperator(mixed_constraints((2, 2, 2), PAIRS3, 1))
+        other = ConstraintOperator(mixed_constraints((2, 2, 2), PAIRS3, 2))
+        assert other.rows is op.rows and other.weights is op.weights
+        with pytest.raises(ValueError):
+            op.rows[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            op.weights[0] = 1.0
+
+
+@pytest.fixture
+def dykstra_starts(monkeypatch):
+    """The starting points of every ``_dykstra_batch`` call, one array per call."""
+    calls = []
+    real = feasibility._dykstra_batch
+
+    def recorded(starts, *args):
+        calls.append(starts.copy())
+        return real(starts, *args)
+
+    monkeypatch.setattr(feasibility, "_dykstra_batch", recorded)
+    return calls
+
+
+class TestCertifiedCrossCheck:
+    @pytest.mark.parametrize("state, subsets, decided_by", [
+        (haar([2, 2, 2], 60), PAIRS3, "certificate"),
+        (haar([2, 2, 2, 2], 1003), PAIRS4, "parent_hamiltonian"),
+    ], ids=["face", "parent_hamiltonian"])
+    def test_one_run_stands_for_every_restart(self, dykstra_starts, state, subsets,
+                                               decided_by):
+        config = ProjectionConfig()
+        verdict = uniqueness_probe(state, subsets, config, rng=SeededRng(1))
+        assert verdict.certified and verdict.decided_by == decided_by
+        assert [len(starts) for starts in dykstra_starts] == [1]
+        assert np.array_equal(dykstra_starts[0][0], to_density(state).matrix)
+        assert len(verdict.runs) == config.restarts
+        assert len(set(verdict.runs)) == 1
+
+    def test_uncertified_probe_runs_distinct_starts(self, dykstra_starts):
+        config = ProjectionConfig()
+        verdict = uniqueness_probe(ghz_state(3), PAIRS3, config, rng=SeededRng(1))
+        assert not verdict.certified
+        [starts] = dykstra_starts
+        assert len({s.tobytes() for s in starts}) == config.restarts
+        assert len(verdict.runs) == config.restarts
 
 
 class TestWitnessPursuit:

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmarginal import uniqueness
 from qmarginal.tensor import AmplitudeTensor, PartySignature, SeededRng, haar_random_state
 from qmarginal.uniqueness import (
     DEGENERATE,
@@ -13,11 +12,11 @@ from qmarginal.uniqueness import (
     build_consistency_matrix,
     check_linear_uniqueness,
     identity_pattern_vector,
-    party_split,
     sequential_elimination_trace,
 )
 
-from conftest import column_of, ghz_state, haar_unitary
+import conftest
+from conftest import column_of, ghz_state, haar_unitary, party_split
 
 
 def haar(shape, seed):
@@ -207,7 +206,7 @@ class TestPartySplit:
         assert split.total_parties == 7
 
     def test_fraction_decreases_to_two_thirds(self, monkeypatch):
-        monkeypatch.setattr(uniqueness, "_MAX_SPLIT_DIM", 1 << 40)
+        monkeypatch.setattr(conftest, "_MAX_SPLIT_DIM", 1 << 40)
         fracs = [party_split(m, 2).fraction for m in range(1, 12)]
         assert all(a > b for a, b in zip(fracs, fracs[1:]))
         assert all(f > 2 / 3 for f in fracs)
