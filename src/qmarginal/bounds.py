@@ -183,12 +183,11 @@ def bounds_rows(n: int, d: int, k_max: int | None = None) -> list[BoundsRow]:
     return rows
 
 
-def alpha_upper_table(m_max: int, d: int = 2) -> list[dict]:
+def alpha_upper_table(m_max: int) -> list[dict]:
     """Constructive upper-bound fractions (2m+1)/(3m+1) for m = 1..m_max.
 
     Fractions are exact and strictly decreasing toward the limit 2/3,
-    which is appended as a final row with m = None. The coarse tripartite
-    shape (d^(m+1), d^m, d^m) is included for reference.
+    which is appended as a final row with m = None.
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
@@ -200,13 +199,11 @@ def alpha_upper_table(m_max: int, d: int = 2) -> list[dict]:
             "total_parties": 3 * m + 1,
             "marginal_order": 2 * m + 1,
             "fraction": frac,
-            "shape": (d ** (m + 1), d ** m, d ** m),
         })
     rows.append({
         "m": None,
         "total_parties": None,
         "marginal_order": None,
         "fraction": Fraction(2, 3),
-        "shape": None,
     })
     return rows

@@ -35,7 +35,8 @@ import numpy as np
 from .bounds import alpha_upper_table, bounds_rows, count_reduced_params, solve_alpha_lower
 from .classical import (JointDistribution, alternating_deviation, classical_marginal,
                         counterexample_pair)
-from .feasibility import NON_UNIQUE, UNIQUE, constraint_nullspace, uniqueness_probe
+from .feasibility import (NON_UNIQUE, UNIQUE, constraint_nullspace, genericity_survey,
+                          uniqueness_probe)
 from .tensor import (AmplitudeTensor, PartySignature, SeededRng, haar_random_state,
                      partial_trace_matrix, to_density)
 from .uniqueness import (UNIQUE_LINEAR, build_consistency_matrix, check_linear_uniqueness,
@@ -136,13 +137,10 @@ def identity_pattern_invariant(seed: int, spawn: int, shapes) -> tuple[bool, dic
 
 
 def oracle_positive_control(seed: int, spawn: int, trials: int) -> tuple[bool, dict]:
-    base = SeededRng(seed).spawn(spawn)
-    sig = PartySignature([2, 2, 2])
     verdicts = []
     good = 0
-    for t in range(trials):
-        state = haar_random_state(sig, base.spawn(t).spawn(0))
-        v = uniqueness_probe(state, PAIRS3, rng=base.spawn(t).spawn(1))
+    for _, v in genericity_survey(PartySignature([2, 2, 2]), PAIRS3, trials,
+                                  SeededRng(seed).spawn(spawn)):
         verdicts.append(v.verdict)
         good += v.verdict == UNIQUE and all(r.distance <= 1e-4 for r in v.runs)
     ok = good >= trials - max(1, trials // 20)
@@ -185,13 +183,10 @@ def oracle_four_qubit_pairs(seed: int, spawn: int, trials: int) -> tuple[bool, d
     """Haar 4-qubit states are certified UNIQUE from their pair marginals.
     Every pair marginal has full rank, so this is the parent-Hamiltonian
     certificate's case; none may come back NON_UNIQUE."""
-    base = SeededRng(seed).spawn(spawn)
-    sig = PartySignature([2, 2, 2, 2])
     verdicts = []
     certified = 0
-    for t in range(trials):
-        state = haar_random_state(sig, base.spawn(t).spawn(0))
-        v = uniqueness_probe(state, PAIRS4, rng=base.spawn(t).spawn(1))
+    for _, v in genericity_survey(PartySignature([2, 2, 2, 2]), PAIRS4, trials,
+                                  SeededRng(seed).spawn(spawn)):
         verdicts.append(v.verdict)
         certified += v.verdict == UNIQUE and v.certified
     ok = certified >= trials - max(1, trials // 20) and NON_UNIQUE not in verdicts
@@ -205,16 +200,13 @@ def constraint_kernel_dims() -> tuple[bool, dict]:
 
 
 def linear_oracle_consistency(seed: int, spawn: int, trials: int) -> tuple[bool, dict]:
-    base = SeededRng(seed).spawn(spawn)
-    sig = PartySignature([4, 2, 2])
     rows = []
     contradictions = 0
-    for t in range(trials):
-        state = haar_random_state(sig, base.spawn(t).spawn(0))
+    for state, v in genericity_survey(PartySignature([4, 2, 2]), [(0, 1), (0, 2)], trials,
+                                      SeededRng(seed).spawn(spawn)):
         lin = check_linear_uniqueness(state).verdict
-        orc = uniqueness_probe(state, [(0, 1), (0, 2)], rng=base.spawn(t).spawn(1)).verdict
-        rows.append({"linear": lin, "oracle": orc})
-        contradictions += lin == UNIQUE_LINEAR and orc == NON_UNIQUE
+        rows.append({"linear": lin, "oracle": v.verdict})
+        contradictions += lin == UNIQUE_LINEAR and v.verdict == NON_UNIQUE
     return contradictions == 0, {"trials": trials, "contradictions": contradictions,
                                  "rows": rows}
 

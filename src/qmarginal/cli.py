@@ -210,9 +210,7 @@ def cmd_check(args) -> int:
     codes = []
 
     if args.mode in ("linear", "both"):
-        if state.signature.n_parties == 3:
-            tri = state
-        elif args.m is not None:
+        if args.m is not None:
             n_parties = state.signature.n_parties
             if n_parties != 3 * args.m + 1:
                 raise UsageError(
@@ -220,6 +218,8 @@ def cmd_check(args) -> int:
             if not state.signature.is_uniform():
                 raise UsageError("--m split requires equal local dimensions")
             tri = coarse_grain(state, (args.m + 1, args.m, args.m))
+        elif state.signature.n_parties == 3:
+            tri = state
         else:
             raise UsageError(
                 "mode=linear needs a tripartite state or --m to group parties")
@@ -278,22 +278,29 @@ def cmd_survey(args) -> int:
     sig = PartySignature([args.d] * args.n)
     subsets = _parse_subsets(args.subsets, args.n)
     config = _projection_config(args)
-    stats = genericity_survey(sig, subsets, args.trials, args.seed, config)
+    verdicts = []
+    trial_seconds = []
+    lap = time.perf_counter()
+    for _, verdict in genericity_survey(sig, subsets, args.trials, SeededRng(args.seed), config):
+        verdicts.append(verdict.verdict)
+        now = time.perf_counter()
+        trial_seconds.append(now - lap)
+        lap = now
     results = {
         "n": args.n, "d": args.d,
-        "subsets": [list(s) for s in stats.subsets],
-        "trials": stats.trials,
-        "verdicts": list(stats.verdicts),
-        "unique_fraction": stats.unique_fraction,
-        "non_unique_fraction": stats.non_unique_fraction,
-        "inconclusive_fraction": stats.inconclusive_fraction,
+        "subsets": [list(s) for s in subsets],
+        "trials": args.trials,
+        "verdicts": verdicts,
+        "unique_fraction": verdicts.count(UNIQUE) / args.trials,
+        "non_unique_fraction": verdicts.count(NON_UNIQUE) / args.trials,
+        "inconclusive_fraction": verdicts.count(INCONCLUSIVE) / args.trials,
     }
     report = _report("survey", {
         "n": args.n, "d": args.d, "subsets": args.subsets, "trials": args.trials,
         "seed": args.seed, "tol_converge": args.tol_converge, "max_iter": args.max_iter,
     }, results, started)
-    report["timings"]["trial_seconds"] = list(stats.runtimes)
-    csv_rows = [[i, v] for i, v in enumerate(stats.verdicts)]
+    report["timings"]["trial_seconds"] = trial_seconds
+    csv_rows = [[i, v] for i, v in enumerate(verdicts)]
     _emit(report, args.format, args.out, csv_rows, ["trial", "verdict"])
     return EXIT_OK
 
@@ -325,7 +332,7 @@ def cmd_bounds(args) -> int:
         {"m": r["m"], "total_parties": r["total_parties"],
          "marginal_order": r["marginal_order"],
          "fraction": str(r["fraction"]), "fraction_float": float(r["fraction"])}
-        for r in bounds_mod.alpha_upper_table(args.m_max, d_values[0])
+        for r in bounds_mod.alpha_upper_table(args.m_max)
     ]
     results = {"counting_table": table, "alpha_lower": alphas, "alpha_upper": upper}
     report = _report("bounds", {

@@ -46,10 +46,9 @@ otherwise.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -59,6 +58,7 @@ from .tensor import (
     PartySignature,
     SeededRng,
     _freeze,
+    _validate_subset,
     haar_random_state,
     herm_to_vec,
     partial_trace_matrix,
@@ -78,7 +78,6 @@ __all__ = [
     "ConstraintOperator",
     "RunRecord",
     "FeasibilityVerdict",
-    "SurveyStats",
     "constraint_nullspace",
     "project_psd",
     "uniqueness_probe",
@@ -122,10 +121,6 @@ _PURSUIT_ROUNDS = 40
 _LAYOUT_CACHE_SIZE = 8
 
 
-def _subset_key(subset: Sequence[int]) -> tuple[int, ...]:
-    return tuple(sorted(int(p) for p in subset))
-
-
 @dataclass(frozen=True)
 class MarginalConstraintSet:
     """Affine constraints: one target reduced state per party subset."""
@@ -138,11 +133,7 @@ class MarginalConstraintSet:
         object.__setattr__(self, "signature", signature)
         normalized = []
         for subset, target in constraints:
-            key = _subset_key(subset)
-            if not key:
-                raise ValueError("constraint subsets must be non-empty")
-            if key[0] < 0 or key[-1] >= signature.n_parties:
-                raise ValueError(f"subset {key} out of range for {signature.n_parties} parties")
+            key = _validate_subset(subset, signature.n_parties)
             if target.signature != signature.subsystem(key):
                 raise ValueError(
                     f"target signature {target.signature.dims} does not match subset {key}"
@@ -159,7 +150,7 @@ class MarginalConstraintSet:
         dims = state.signature.dims
         cons = []
         for subset in subsets:
-            key = _subset_key(subset)
+            key = _validate_subset(subset, state.signature.n_parties)
             reduced = partial_trace_matrix(mat, dims, key)
             cons.append((key, DensityMatrix(state.signature.subsystem(key), reduced)))
         return cls(state.signature, cons)
@@ -308,7 +299,7 @@ def constraint_nullspace(signature: PartySignature,
     dims = signature.dims
     pinned = {(0,) * len(dims)}
     for subset in subsets:
-        pinned.update(_labels_within(dims, _subset_key(subset)))
+        pinned.update(_labels_within(dims, _validate_subset(subset, len(dims))))
     free = [lab for lab in _labels_within(dims, range(len(dims))) if lab not in pinned]
     return product_operators(dims, free)
 
@@ -607,14 +598,11 @@ def _certify(candidate: np.ndarray, op: ConstraintOperator):
     t = candidate.shape[0]
     vals = np.linalg.eigvalsh((candidate + candidate.conj().T) / 2)
     r0 = int(np.sum(vals > 1e-2 * max(vals.max(), 1e-30)))
-    tried = []
     for rank in dict.fromkeys([max(r0, 1), min(max(r0, 1) + 2, t), t]):
         w, res = _gauss_newton_polish(candidate, op, rank)
-        tried.append((res, w))
         if res < _CERT_TOL:
             return w
-    res, w = min(tried, key=lambda rw: rw[0])
-    return w if res < _CERT_TOL else None
+    return None
 
 
 def _exit_parameter(psi: np.ndarray, w: np.ndarray) -> float:
@@ -713,21 +701,22 @@ class FeasibilityVerdict:
     to within the convergence tolerance and the distinct ones are separated
     from the reference by more than the distinctness tolerance.
 
-    ``certified`` is True when a certificate proved UNIQUE and the
-    cross-check agreed with it: one Dykstra run from the reference, which
-    ``runs`` lists once per restart because every restart would have
-    started there. ``decided_by`` names the path that decided:
-    ``"certificate"`` (the face certificate; then ``certified``),
-    ``"parent_hamiltonian"`` (the parent-Hamiltonian certificate; then
-    ``certified``), ``"dykstra"`` (the restarts and, for NON_UNIQUE, a
+    ``decided_by`` names the path that decided: ``"certificate"`` (the
+    face certificate), ``"parent_hamiltonian"`` (the parent-Hamiltonian
+    certificate), ``"dykstra"`` (the restarts and, for NON_UNIQUE, a
     verified witness) or ``"uncovered_party"`` (a party outside every
-    subset, rotated for an analytic witness). ``certificate_gap`` is the
-    smallest spectral gap or singular value that the face certificate
-    compared against its threshold, or on the parent-Hamiltonian path the
-    relative gap ``(l1 - l0) / (lmax - l0)`` of the Hamiltonian; it is None
-    when no certificate was attempted (an uncovered party). ``face_dim`` is
-    the dimension of the space the restarts ran in: k when they ran on the
-    face ``K``, T when there was no reduction, None when no restart ran.
+    subset, rotated for an analytic witness). A certificate decides only
+    a UNIQUE that its cross-check agreed with: one Dykstra run from the
+    reference, which ``runs`` lists once per restart because every
+    restart would have started there. ``certified``, derived from
+    ``decided_by``, is True exactly when one of the two certificates
+    decided. ``certificate_gap`` is the smallest spectral gap or singular
+    value that the face certificate compared against its threshold, or on
+    the parent-Hamiltonian path the relative gap ``(l1 - l0) / (lmax - l0)``
+    of the Hamiltonian; it is None when no certificate was attempted (an
+    uncovered party). ``face_dim`` is the dimension of the space the
+    restarts ran in: k when they ran on the face ``K``, T when there was no
+    reduction, None when no restart ran.
     """
 
     verdict: str
@@ -735,10 +724,13 @@ class FeasibilityVerdict:
     max_marginal_residual: float
     pairwise_distances: tuple[float, ...]
     runs: tuple[RunRecord, ...] = ()
-    certified: bool = False
     decided_by: str = DECIDED_BY_DYKSTRA
     certificate_gap: float | None = None
     face_dim: int | None = None
+
+    @property
+    def certified(self) -> bool:
+        return self.decided_by in (DECIDED_BY_CERTIFICATE, DECIDED_BY_PARENT_HAMILTONIAN)
 
 
 def uniqueness_probe(pure_state: AmplitudeTensor,
@@ -866,8 +858,7 @@ def _finish(verdict: str, witnesses: tuple[DensityMatrix, ...],
         for i in range(len(witnesses)) for j in range(i + 1, len(witnesses))
     )
     return FeasibilityVerdict(verdict, witnesses, residual, pairwise, tuple(runs),
-                              certified_by is not None, certified_by or DECIDED_BY_DYKSTRA,
-                              gap, face_dim)
+                              certified_by or DECIDED_BY_DYKSTRA, gap, face_dim)
 
 
 def _uncovered_verdict(state: AmplitudeTensor, rho: DensityMatrix,
@@ -891,51 +882,22 @@ def _uncovered_verdict(state: AmplitudeTensor, rho: DensityMatrix,
     raise RuntimeError("could not rotate the uncovered party away from the state")
 
 
-@dataclass(frozen=True)
-class SurveyStats:
-    """Aggregate of uniqueness probes on Haar samples."""
-
-    signature: PartySignature
-    subsets: tuple[tuple[int, ...], ...]
-    trials: int
-    seed: int
-    verdicts: tuple[str, ...]
-    runtimes: tuple[float, ...]
-
-    @property
-    def unique_fraction(self) -> float:
-        return self.verdicts.count(UNIQUE) / self.trials
-
-    @property
-    def non_unique_fraction(self) -> float:
-        return self.verdicts.count(NON_UNIQUE) / self.trials
-
-    @property
-    def inconclusive_fraction(self) -> float:
-        return self.verdicts.count(INCONCLUSIVE) / self.trials
-
-
 def genericity_survey(signature: PartySignature,
                       subsets: Sequence[Sequence[int]],
                       trials: int,
-                      seed: int,
-                      config: ProjectionConfig = ProjectionConfig()) -> SurveyStats:
+                      rng: SeededRng,
+                      config: ProjectionConfig = ProjectionConfig(),
+                      ) -> Iterator[tuple[AmplitudeTensor, FeasibilityVerdict]]:
     """Run the uniqueness probe on Haar-random states.
 
-    Deterministic for a fixed ``seed``: trial t draws its state from
-    substream (seed, t, 0) and its restarts from (seed, t, 1, r).
+    Yields ``(state, verdict)`` for each of ``trials`` trials, in order.
+    Trial t draws its state from ``rng.spawn(t).spawn(0)`` and its restarts
+    from ``rng.spawn(t).spawn(1)``, so the run is deterministic for a fixed
+    ``rng``. Iterating raises ``ValueError`` when ``trials < 1``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    verdicts = []
-    runtimes = []
-    base = SeededRng(seed)
     for trial in range(trials):
-        t0 = time.perf_counter()
-        state = haar_random_state(signature, base.spawn(trial).spawn(0))
-        verdict = uniqueness_probe(state, subsets, config,
-                                   rng=base.spawn(trial).spawn(1))
-        verdicts.append(verdict.verdict)
-        runtimes.append(time.perf_counter() - t0)
-    return SurveyStats(signature, tuple(_subset_key(s) for s in subsets),
-                       trials, seed, tuple(verdicts), tuple(runtimes))
+        stream = rng.spawn(trial)
+        state = haar_random_state(signature, stream.spawn(0))
+        yield state, uniqueness_probe(state, subsets, config, rng=stream.spawn(1))

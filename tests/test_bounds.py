@@ -235,7 +235,6 @@ class TestAlphaUpperTable:
     def test_first_entry(self):
         rows = alpha_upper_table(1)
         assert rows[0]["fraction"] == Fraction(3, 4)
-        assert rows[0]["shape"] == (4, 2, 2)
 
     def test_m10_value(self):
         rows = alpha_upper_table(10)

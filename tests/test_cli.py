@@ -113,6 +113,12 @@ class TestCheck:
                        "--mode", "linear"], capsys)
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("n,m", [(3, 1), (4, 2)])
+    def test_linear_split_party_mismatch_usage_error(self, capsys, n, m):
+        code, _ = run(["check", "--seed", "11", "--n", str(n), "--d", "2",
+                       "--m", str(m), "--mode", "linear"], capsys)
+        assert code == EXIT_USAGE
+
     def test_malformed_subsets_usage_error(self, capsys):
         code, _ = run(["check", "--seed", "1", "--n", "3", "--d", "2",
                        "--mode", "oracle", "--subsets", "0x,12"], capsys)
@@ -153,6 +159,7 @@ class TestSurvey:
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
         assert r1["results"]["unique_fraction"] >= 0.75
         assert len(r1["results"]["verdicts"]) == 4
+        assert len(load_json(out1)["timings"]["trial_seconds"]) == 4
 
     def test_zero_trials_usage_error(self, capsys):
         code, _ = run(["survey", "--n", "3", "--d", "2", "--subsets", "01,02,12",

@@ -113,6 +113,11 @@ class TestConstraintNullspace:
         assert op.rows.shape == (t * t - expected, t * t)
         assert np.abs(op.rows @ op.rows.T - np.eye(len(op.rows))).max() < 1e-13
 
+    @pytest.mark.parametrize("subsets", [[(7,)], [()], [(0, 0)]])
+    def test_invalid_subset_rejected(self, subsets):
+        with pytest.raises(ValueError):
+            constraint_nullspace(PartySignature([2, 2]), subsets)
+
     def test_basis_elements_traceless_orthonormal_zero_marginals(self):
         sig = PartySignature([2, 2, 2])
         basis = constraint_nullspace(sig, PAIRS3)
@@ -737,22 +742,29 @@ class TestMarginalConstraintSet:
 class TestGenericitySurvey:
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError, match="trials"):
-            genericity_survey(PartySignature([2, 2, 2]), PAIRS3, 0, seed=5)
+            next(genericity_survey(PartySignature([2, 2, 2]), PAIRS3, 0, SeededRng(5)))
 
     def test_deterministic_and_unique_on_small_run(self):
         sig = PartySignature([2, 2, 2])
-        a = genericity_survey(sig, PAIRS3, 5, seed=5)
-        b = genericity_survey(sig, PAIRS3, 5, seed=5)
-        assert a.verdicts == b.verdicts
-        assert a.trials == 5
-        assert a.unique_fraction >= 0.8
-        assert a.unique_fraction + a.non_unique_fraction + a.inconclusive_fraction == 1.0
+        a = [v.verdict for _, v in genericity_survey(sig, PAIRS3, 5, SeededRng(5))]
+        b = [v.verdict for _, v in genericity_survey(sig, PAIRS3, 5, SeededRng(5))]
+        assert a == b and len(a) == 5
+        assert a.count(UNIQUE) >= 4
 
-    def test_four_qubit_triple_subsets(self):
-        # The (m=1) split seen at party granularity: subsets {ABC, ABD}.
+    def test_trial_draws_from_its_substreams(self):
         sig = PartySignature([2, 2, 2, 2])
-        stats = genericity_survey(sig, [(0, 1, 2), (0, 1, 3)], 3, seed=6)
-        assert stats.unique_fraction == 1.0
+        subsets = [(0, 1, 2), (0, 1, 3)]
+        rng = SeededRng(6).spawn(2)
+        trials = list(genericity_survey(sig, subsets, 3, rng))
+        assert len(trials) == 3
+        for t, (state, verdict) in enumerate(trials):
+            expected = haar_random_state(sig, rng.spawn(t).spawn(0))
+            assert np.array_equal(state.amplitudes, expected.amplitudes)
+            alone = uniqueness_probe(expected, subsets, rng=rng.spawn(t).spawn(1))
+            assert (verdict.verdict, verdict.decided_by, verdict.runs) == \
+                (alone.verdict, alone.decided_by, alone.runs)
+            # The (m=1) split seen at party granularity: subsets {ABC, ABD}.
+            assert verdict.verdict == UNIQUE
 
 
 def certificate(state, subsets, tol=1e-4):

@@ -1,4 +1,6 @@
+import ast
 import importlib
+import inspect
 import types
 
 import pytest
@@ -32,3 +34,14 @@ def test_package_exports_exactly_the_library_modules_public_names():
         for public in module.__all__:
             assert getattr(qmarginal, public) is getattr(module, public), public
     assert set(qmarginal.__all__) == union
+
+
+@pytest.mark.parametrize("name", LIBRARY_MODULES + ["claims"])
+def test_library_module_reads_no_clock(name):
+    # Wall time is measured by the CLI and the benchmark, never inside the
+    # library, so every library result is byte-stable for a fixed seed.
+    tree = ast.parse(inspect.getsource(importlib.import_module(f"qmarginal.{name}")))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "time" not in imported
