@@ -10,9 +10,9 @@ the state's amplitudes. The identity pattern e(l,k) = delta_lk * e,
 f(r,j) = delta_rj * e always solves it; when it is the *only* solution the
 purification is the original state tensored with an environment state, so
 the state is uniquely determined by those two marginals among all density
-matrices. This module builds the system, analyzes its kernel, replays the
-block-by-block elimination argument, and maps the tripartite result onto
-many-party systems via coarse graining.
+matrices. This module defines the system, analyzes its kernel through an R
+factor assembled from the amplitudes, and replays the block-by-block
+elimination argument.
 """
 
 from __future__ import annotations
@@ -122,6 +122,11 @@ def build_consistency_matrix(a: AmplitudeTensor) -> ConsistencyMatrix:
 
     K has M*N*P rows and P^2 + N^2 columns; the entry of row (i,j,k) at
     column e(l,k) is a[i,j,l] and at column f(r,j) is -a[i,r,k].
+
+    This dense K is the reference definition of the system, for tests and
+    measurements. No verdict is computed from it:
+    :func:`check_linear_uniqueness` reads the kernel off an R factor of K
+    that it builds from the amplitudes.
     """
     shape = _tripartite(a)
     m, n, p = shape.M, shape.N, shape.P
@@ -152,6 +157,34 @@ def identity_pattern_vector(shape: TripartiteShape) -> np.ndarray:
     return v / np.sqrt(n + p)
 
 
+def _consistency_r_factor(amps: np.ndarray) -> np.ndarray:
+    """An R factor of K, assembled from the amplitudes without forming K.
+
+    Grouped by k, K's rows form blocks ``[A1 on e(.,k) | -(a_k kron I_N)]``
+    with ``A1 = a.reshape(M*N, P)``. One complete QR ``A1 = Q [R1; 0]``
+    rotates every block to ``[R1 | -H_k]``, ``H_k = Q^H (a_k kron I_N)``.
+    The first ``t = min(M*N, P)`` rows of each rotated block are kept; the
+    rest touch only the f columns, and one more QR reduces their stack to
+    ``R_S``. Both steps multiply K on the left by a unitary and drop zero
+    rows, so the result has K's singular values and right singular vectors.
+    Row order is free, so rows are indexed (s, k), s the row of Q^H.
+    """
+    m, n, p = amps.shape
+    mn = m * n
+    t = min(mn, p)
+    q, r1 = np.linalg.qr(amps.reshape(mn, p), mode="complete")
+    # h[(s, k), (r, j)] = H_k[s, (r, j)] = sum_i conj(Q[(i, j), s]) a[i, r, k]
+    h = (q.conj().reshape(m, n * mn).T @ amps.reshape(m, n * p)).reshape(n, mn, n, p)
+    h = h.transpose(1, 3, 2, 0).reshape(mn * p, n * n)
+    r_s = np.linalg.qr(h[t * p:], mode="r")
+    r = np.zeros((t * p + r_s.shape[0], p * p + n * n), dtype=complex)
+    # R1[s, l] at row (s, k), column e(l, k) = l*P + k: kron(R1[:t], I_P).
+    r[:t * p, :p * p] = (r1[:t, None, :, None] * np.eye(p)[:, None, :]).reshape(t * p, p * p)
+    r[:t * p, p * p:] = -h[:t * p]
+    r[t * p:, p * p:] = r_s
+    return r
+
+
 def check_linear_uniqueness(a: AmplitudeTensor,
                             rank_rtol: float = DEFAULT_RANK_RTOL) -> UniquenessVerdict:
     """Kernel analysis of the consistency matrix of a tripartite state.
@@ -162,11 +195,25 @@ def check_linear_uniqueness(a: AmplitudeTensor,
     then the original state tensored with one environment state. Degenerate
     kernels are reported, never raised: non-generic states are a study
     target in their own right.
+
+    K itself is never formed. A matrix and its R factor (K = Q R, Q with
+    orthonormal columns) have the same singular values and the same right
+    singular vectors, so the rank and kernel are read off an R factor that
+    is built block by block from the amplitudes (Chan's R-SVD). Its columns
+    are K's, so the kernel is in K's column order.
+
+    Raises ValueError when the kernel comes back empty: K annihilates the
+    identity pattern exactly, so that only happens when ``rank_rtol`` lies
+    below the rounding floor of the singular values.
     """
-    cm = build_consistency_matrix(a)
-    _, null_basis = rank_and_nullspace(cm.matrix, rtol=rank_rtol)
+    shape = _tripartite(a)
+    _, null_basis = rank_and_nullspace(_consistency_r_factor(a.amplitudes), rtol=rank_rtol)
     null_dim = null_basis.shape[1]
-    v_id = identity_pattern_vector(cm.shape)
+    if null_dim == 0:
+        raise ValueError(
+            f"rank_rtol={rank_rtol:g} is below the rounding floor: the kernel came "
+            "back empty, but the identity pattern solves the consistency system exactly")
+    v_id = identity_pattern_vector(shape)
     # Distance from the identity pattern to its projection on the kernel.
     proj = null_basis @ (null_basis.conj().T @ v_id)
     residual = float(np.linalg.norm(v_id - proj))

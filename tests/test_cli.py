@@ -108,6 +108,16 @@ class TestCheck:
         assert lin["null_dim"] == 1
         assert lin["shape"] == [32, 16, 16]
 
+    def test_rank_tolerance_below_rounding_floor_usage_error(self, capsys):
+        # An empty kernel is impossible (K annihilates the identity pattern),
+        # so it reads as a bad --tol-rank, not as a DEGENERATE finding.
+        code = main(["check", "--seed", "2", "--n", "4", "--d", "2", "--m", "1",
+                     "--mode", "linear", "--tol-rank", "1e-20"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert "below the rounding floor" in captured.err
+
     def test_linear_without_grouping_usage_error(self, capsys):
         code, _ = run(["check", "--seed", "11", "--n", "5", "--d", "2",
                        "--mode", "linear"], capsys)

@@ -3,8 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmarginal.tensor import AmplitudeTensor, PartySignature, SeededRng, haar_random_state
+from qmarginal import uniqueness
+from qmarginal.tensor import (AmplitudeTensor, PartySignature, SeededRng, haar_random_state,
+                              rank_and_nullspace)
 from qmarginal.uniqueness import (
+    DEFAULT_RANK_RTOL,
     DEGENERATE,
     UNIQUE_LINEAR,
     RankDeficientBlockError,
@@ -27,6 +30,13 @@ def ghz_type(shape):
     """a[0,0,0] = a[1,1,1] = 1/sqrt(2) embedded in the given shape."""
     amps = np.zeros(shape, dtype=complex)
     amps[0, 0, 0] = amps[1, 1, 1] = 1 / np.sqrt(2)
+    return AmplitudeTensor(PartySignature(shape), amps)
+
+
+def product_state(shape):
+    """|000> embedded in the given shape."""
+    amps = np.zeros(shape, dtype=complex)
+    amps[0, 0, 0] = 1.0
     return AmplitudeTensor(PartySignature(shape), amps)
 
 
@@ -131,6 +141,62 @@ class TestCheckLinearUniqueness:
             for t in range(50)
         )
         assert hits == 50
+
+
+def assert_matches_dense_k(state):
+    """The R factor's rank, kernel projector and singular values are K's."""
+    dense = build_consistency_matrix(state).matrix
+    dense_rank, dense_kernel = rank_and_nullspace(dense, rtol=DEFAULT_RANK_RTOL)
+    r_factor = uniqueness._consistency_r_factor(state.amplitudes)
+    rank, _ = rank_and_nullspace(r_factor, rtol=DEFAULT_RANK_RTOL)
+    verdict = check_linear_uniqueness(state)
+    assert rank == dense_rank
+    assert verdict.null_dim == dense_kernel.shape[1] == verdict.kernel.shape[1]
+    assert verdict.kernel.shape[0] == dense.shape[1]
+    projector = verdict.kernel @ verdict.kernel.conj().T
+    assert np.abs(projector - dense_kernel @ dense_kernel.conj().T).max() < 1e-12
+    s_dense = np.linalg.svd(dense, compute_uv=False)
+    s_factor = np.linalg.svd(r_factor, compute_uv=False)
+    # A wide R factor has fewer singular values; the missing ones are K's zeros.
+    s_factor = np.pad(s_factor, (0, s_dense.size - s_factor.size))
+    assert np.abs(s_dense - s_factor).max() <= 1e-13 * s_dense[0]
+
+
+class TestRFactorMatchesDenseK:
+    """``check_linear_uniqueness`` reads the kernel off an R factor of K
+    assembled from the amplitudes; it must see what a dense SVD of K sees."""
+
+    @pytest.mark.parametrize("shape", [
+        (2, 2, 2), (3, 2, 2), (4, 2, 2), (5, 3, 2), (8, 4, 4), (9, 3, 3), (27, 9, 9),
+        (2, 2, 4),   # M*N == P: no remainder rows
+        (2, 2, 5),   # M*N < P
+        (2, 4, 2),   # remainder stack wider than tall
+    ])
+    @pytest.mark.parametrize("family", ["haar", "ghz", "product"])
+    def test_rank_kernel_and_singular_values(self, shape, family):
+        states = {"haar": haar(shape, sum(shape)), "ghz": ghz_type(shape),
+                  "product": product_state(shape)}
+        assert_matches_dense_k(states[family])
+
+    @settings(max_examples=25, deadline=None)
+    @given(shape=st.tuples(*[st.integers(2, 5)] * 3), seed=st.integers(0, 2 ** 32 - 1))
+    def test_property_haar(self, shape, seed):
+        assert_matches_dense_k(haar(shape, seed))
+
+    def test_never_builds_k(self, monkeypatch):
+        def refuse(_):
+            raise AssertionError("the verdict path built K")
+        monkeypatch.setattr(uniqueness, "build_consistency_matrix", refuse)
+        assert check_linear_uniqueness(haar((27, 9, 9), 5)).verdict == UNIQUE_LINEAR
+        four_party = haar_random_state(PartySignature([2, 2, 2, 2]), SeededRng(9))
+        with pytest.raises(ValueError, match="tripartite"):
+            check_linear_uniqueness(four_party)
+
+    def test_rank_rtol_below_rounding_floor_raises(self):
+        # K annihilates the identity pattern exactly, so an empty kernel can
+        # only mean that the tolerance lies below the singular values' noise.
+        with pytest.raises(ValueError, match="rank_rtol=1e-20 is below the rounding floor"):
+            check_linear_uniqueness(haar((4, 2, 2), 2), rank_rtol=1e-20)
 
 
 class TestLocalUnitaryInvariance:
