@@ -230,6 +230,8 @@ def cmd_check(args) -> int:
             "null_dim": verdict.null_dim,
             "identity_pattern_match": verdict.identity_pattern_match,
             "identity_pattern_residual": verdict.residual,
+            "decided_by": verdict.decided_by,
+            "certificate_gap": verdict.certificate_gap,
         }
         codes.append(EXIT_OK if verdict.verdict == UNIQUE_LINEAR else EXIT_NEGATIVE)
 

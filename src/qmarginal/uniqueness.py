@@ -44,6 +44,14 @@ DEGENERATE = "DEGENERATE"
 DEFAULT_RANK_RTOL = 1e-8
 # Largest distance from the identity pattern that still reads as a match.
 _PATTERN_TOL = 1e-8
+# Fewest rows of party A that the kernel certificate reads.
+_PREFIX_FLOOR = 3
+# Multiple of rows * cols * eps * ||K||_F by which the certificate moves
+# each computed singular value and norm against itself to cover rounding.
+_ROUNDING_ALLOWANCE = 10
+
+DECIDED_BY_CERTIFICATE = "certificate"
+DECIDED_BY_SVD = "svd"
 
 
 @dataclass(frozen=True)
@@ -60,7 +68,9 @@ class TripartiteShape:
 
     @property
     def satisfies_bound(self) -> bool:
-        """Whether M >= N + P - 1, the regime where the generic kernel is a line."""
+        """Whether M >= N + P - 1, the paper's sufficient condition for a
+        generic state's kernel to be the identity-pattern line (the kernel
+        can be a line below it too, e.g. at 3 x 3 x 3)."""
         return self.M >= self.N + self.P - 1
 
     @property
@@ -94,13 +104,22 @@ class ConsistencyMatrix:
 
 @dataclass(frozen=True)
 class UniquenessVerdict:
-    """Outcome of the kernel analysis of a consistency matrix."""
+    """Outcome of the kernel analysis of a consistency matrix.
+
+    ``decided_by`` names the path that read the kernel: ``"certificate"``
+    (the prefix bound of :func:`check_linear_uniqueness`) or ``"svd"`` (the
+    SVD of K's R factor). ``certificate_gap`` is the certificate's lower
+    bound on K's second-smallest singular value over ``||K||_F``, None when
+    the SVD decided.
+    """
 
     null_dim: int
     identity_pattern_match: bool
     residual: float
     verdict: str
     kernel: np.ndarray = field(repr=False)
+    decided_by: str = DECIDED_BY_SVD
+    certificate_gap: float | None = None
 
     def __post_init__(self):
         expected = UNIQUE_LINEAR if (self.null_dim == 1 and self.identity_pattern_match) else DEGENERATE
@@ -157,6 +176,19 @@ def identity_pattern_vector(shape: TripartiteShape) -> np.ndarray:
     return v / np.sqrt(n + p)
 
 
+def _rotated_blocks(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``R1`` and the stacked ``H_k`` of :func:`_consistency_r_factor`.
+
+    ``h`` has rows (s, k), s the row of Q^H, and columns f(r, j).
+    """
+    m, n, p = amps.shape
+    mn = m * n
+    q, r1 = np.linalg.qr(amps.reshape(mn, p), mode="complete")
+    # h[(s, k), (r, j)] = H_k[s, (r, j)] = sum_i conj(Q[(i, j), s]) a[i, r, k]
+    h = (q.conj().reshape(m, n * mn).T @ amps.reshape(m, n * p)).reshape(n, mn, n, p)
+    return r1, h.transpose(1, 3, 2, 0).reshape(mn * p, n * n)
+
+
 def _consistency_r_factor(amps: np.ndarray) -> np.ndarray:
     """An R factor of K, assembled from the amplitudes without forming K.
 
@@ -170,12 +202,8 @@ def _consistency_r_factor(amps: np.ndarray) -> np.ndarray:
     Row order is free, so rows are indexed (s, k), s the row of Q^H.
     """
     m, n, p = amps.shape
-    mn = m * n
-    t = min(mn, p)
-    q, r1 = np.linalg.qr(amps.reshape(mn, p), mode="complete")
-    # h[(s, k), (r, j)] = H_k[s, (r, j)] = sum_i conj(Q[(i, j), s]) a[i, r, k]
-    h = (q.conj().reshape(m, n * mn).T @ amps.reshape(m, n * p)).reshape(n, mn, n, p)
-    h = h.transpose(1, 3, 2, 0).reshape(mn * p, n * n)
+    t = min(m * n, p)
+    r1, h = _rotated_blocks(amps)
     r_s = np.linalg.qr(h[t * p:], mode="r")
     r = np.zeros((t * p + r_s.shape[0], p * p + n * n), dtype=complex)
     # R1[s, l] at row (s, k), column e(l, k) = l*P + k: kron(R1[:t], I_P).
@@ -183,6 +211,72 @@ def _consistency_r_factor(amps: np.ndarray) -> np.ndarray:
     r[:t * p, p * p:] = -h[:t * p]
     r[t * p:, p * p:] = r_s
     return r
+
+
+def _prefix_rows(m: int, n: int, p: int) -> int:
+    """Rows M' of party A that :func:`_kernel_certificate` reads: the
+    smallest M' >= 3 with M'N >= P (``R1`` square) and M'NP - P^2 >= N^2 - 1
+    (``R_S`` can reach rank N^2 - 1), capped at M. The floor is 3 because
+    a 2 x P x P state's kernel has dimension P, never a line."""
+    need = max(_PREFIX_FLOOR, -(-p // n), -(-(p * p + n * n - 1) // (n * p)))
+    return min(need, m)
+
+
+def _kernel_certificate(amps: np.ndarray, rank_rtol: float):
+    """Prove from a prefix of party A that K's kernel is a line.
+
+    Returns ``(x, gap)`` with x a unit kernel vector in K's column order and
+    gap the proven lower bound on K's second-smallest singular value over
+    ``||K||_F``, or None when the proof is refused.
+
+    ``K_pre``, the K of ``a[:M']``, is K with rows deleted, so
+    ``sigma_{n-1}(K) >= sigma_{n-1}(K_pre)``. Its R factor is
+    ``[[R1 kron I, -H_top], [0, R_S]]``, and the factorization
+    ``diag(R1 kron I, R_S) [[I, -R1^-1 H_top], [0, I]]`` gives
+    ``sigma_{n-1}(K_pre) >= min(sigma_min(R1), sigma_{N^2-1}(R_S)) /
+    (1 + ||H_top|| / sigma_min(R1))``. Householder QR and the SVD are
+    backward stable, with an error below a small multiple of
+    rows * cols * eps * ||K||_F (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, Thm 19.4), so each computed singular value is
+    first lowered, and ``||H_top||``, bounded by its Frobenius norm, raised
+    by ``_ROUNDING_ALLOWANCE`` times that. The bound must exceed
+    ``rank_rtol * ||K||_F >= rank_rtol * sigma_max(K)``, so K has at least
+    n - 1 singular values above the rank cut.
+
+    The last right singular vector of ``R_S`` is lifted to x through
+    ``R1``, and ``||K x||`` is evaluated on all of K from the amplitudes. It
+    must be at most ``rank_rtol * ||K||_F / sqrt(n) * ||x||``; since
+    ``sigma_max(K) >= ||K||_F / sqrt(n)``, K's smallest singular value then
+    lies at or below the cut. So K's numerical kernel is a line, and x lies
+    within an angle ``asin(||K x|| / (bound * ||x||))`` of it.
+    """
+    m, n, p = amps.shape
+    m_pre = _prefix_rows(m, n, p)
+    if m_pre * n < p or (m_pre * n - p) * p < n * n - 1:
+        return None
+    n_cols = p * p + n * n
+    k_norm = np.sqrt(n + p) * np.linalg.norm(amps)
+    slack = _ROUNDING_ALLOWANCE * m_pre * n * p * n_cols * np.finfo(float).eps * k_norm
+    r1, h = _rotated_blocks(amps[:m_pre])
+    sigma_r1 = np.linalg.svd(r1[:p], compute_uv=False)[-1] - slack
+    if sigma_r1 <= 0:
+        return None
+    r_s = np.linalg.qr(h[p * p:], mode="r")
+    _, s, vh = np.linalg.svd(r_s, full_matrices=r_s.shape[0] < r_s.shape[1])
+    h_norm = np.linalg.norm(h[:p * p]) + slack
+    bound = min(sigma_r1, s[n * n - 2] - slack) / (1 + h_norm / sigma_r1)
+    if not bound > rank_rtol * k_norm:
+        return None
+    f = vh[-1].conj()
+    # Top rows of block k: R1 e(., k) = H_k[:P] f.
+    e = np.linalg.solve(r1[:p], (h[:p * p] @ f).reshape(p, p))
+    rows = (np.einsum("ijl,lk->ijk", amps, e)
+            - np.einsum("irk,rj->ijk", amps, f.reshape(n, n)))
+    x = np.concatenate([e.reshape(-1), f])
+    x_norm = np.linalg.norm(x)
+    if not np.linalg.norm(rows) <= rank_rtol * k_norm / np.sqrt(n_cols) * x_norm:
+        return None
+    return x / x_norm, float(bound / k_norm)
 
 
 def check_linear_uniqueness(a: AmplitudeTensor,
@@ -194,20 +288,36 @@ def check_linear_uniqueness(a: AmplitudeTensor,
     ``_PATTERN_TOL``); any purification matching the AB and AC marginals is
     then the original state tensored with one environment state. Degenerate
     kernels are reported, never raised: non-generic states are a study
-    target in their own right.
+    target in their own right. A singular value counts as zero at or below
+    ``rank_rtol * sigma_max(K)``.
 
-    K itself is never formed. A matrix and its R factor (K = Q R, Q with
-    orthonormal columns) have the same singular values and the same right
-    singular vectors, so the rank and kernel are read off an R factor that
-    is built block by block from the amplitudes (Chan's R-SVD). Its columns
-    are K's, so the kernel is in K's column order.
+    K itself is never formed. First a certificate tries to prove from the
+    rows of a short prefix ``a[:M']`` of party A that K's kernel is a line
+    (:func:`_kernel_certificate`): deleting rows only lowers singular values,
+    so a lower bound on the prefix's second-smallest singular value,
+    ``min(sigma_min(R1), sigma_{N^2-1}(R_S)) / (1 + ||H_top|| /
+    sigma_min(R1))`` from its block R factor, holds for all of K; it must
+    clear ``rank_rtol * ||K||_F``, and the lifted kernel vector must solve
+    all of K. Then ``decided_by`` is ``"certificate"`` and
+    ``certificate_gap`` is that bound over ``||K||_F``. Otherwise the rank
+    and kernel are read off an R factor of K built block by block from the
+    amplitudes (Chan's R-SVD; a matrix and its R factor share singular
+    values and right singular vectors), ``decided_by`` is ``"svd"`` and
+    ``certificate_gap`` is None. Either way the kernel is in K's column
+    order.
 
     Raises ValueError when the kernel comes back empty: K annihilates the
     identity pattern exactly, so that only happens when ``rank_rtol`` lies
     below the rounding floor of the singular values.
     """
     shape = _tripartite(a)
-    _, null_basis = rank_and_nullspace(_consistency_r_factor(a.amplitudes), rtol=rank_rtol)
+    certificate = _kernel_certificate(a.amplitudes, rank_rtol)
+    if certificate is not None:
+        x, gap = certificate
+        null_basis, decided_by = x[:, None], DECIDED_BY_CERTIFICATE
+    else:
+        _, null_basis = rank_and_nullspace(_consistency_r_factor(a.amplitudes), rtol=rank_rtol)
+        gap, decided_by = None, DECIDED_BY_SVD
     null_dim = null_basis.shape[1]
     if null_dim == 0:
         raise ValueError(
@@ -219,7 +329,7 @@ def check_linear_uniqueness(a: AmplitudeTensor,
     residual = float(np.linalg.norm(v_id - proj))
     match = null_dim == 1 and residual < _PATTERN_TOL
     verdict = UNIQUE_LINEAR if match else DEGENERATE
-    return UniquenessVerdict(null_dim, match, residual, verdict, null_basis)
+    return UniquenessVerdict(null_dim, match, residual, verdict, null_basis, decided_by, gap)
 
 
 class RankDeficientBlockError(Exception):
@@ -267,8 +377,11 @@ def sequential_elimination_trace(a: AmplitudeTensor) -> EliminationReport:
     finally each block j >= 1 solves f(.,j) from rows (i, j, .). Every block
     is solved by least squares on the current numeric values rather than by
     assuming previously solved unknowns are exactly zero, so rounding is
-    tracked instead of compounded. A rank-deficient block aborts with
-    :class:`RankDeficientBlockError`.
+    tracked instead of compounded. The blocks k share one coefficient
+    matrix, and so do the blocks j; each shared matrix is factored once and
+    solved for all its right-hand sides together. A rank-deficient block
+    aborts with :class:`RankDeficientBlockError`, naming the first step
+    that uses it.
 
     Requires M >= N + P - 1; the final solution must agree with
     :func:`check_linear_uniqueness` on generic inputs.
@@ -285,43 +398,43 @@ def sequential_elimination_trace(a: AmplitudeTensor) -> EliminationReport:
     e[0, 0] = 1.0  # gauge: the free direction is normalized here
     steps: list[EliminationStep] = []
 
-    def solve_block(index, label, block, rhs, labels):
-        rank, _ = rank_and_nullspace(block, rtol=DEFAULT_RANK_RTOL)
+    def solve_block(block, rhs, names):
+        """Solve the block for each column c of ``rhs``, the step named
+        ``names[c] = (label, unknowns)``. The block is factored once: the
+        least-squares SVD also gives the rank, under the linear test's rule."""
+        sol, _, _, s = np.linalg.lstsq(block, rhs, rcond=None)
+        rank = int(np.sum(s > DEFAULT_RANK_RTOL * s[0]))
         if rank < block.shape[1]:
-            raise RankDeficientBlockError(index, label, rank, block.shape[1])
-        sol, res2, *_ = np.linalg.lstsq(block, rhs, rcond=None)
-        residual = float(np.linalg.norm(block @ sol - rhs))
-        steps.append(EliminationStep(
-            index, label, block.shape[0], tuple(labels), rank, residual,
-            {lab: complex(val) for lab, val in zip(labels, sol)},
-        ))
+            raise RankDeficientBlockError(len(steps) + 1, names[0][0], rank, block.shape[1])
+        residuals = np.linalg.norm(block @ sol - rhs, axis=0)
+        for (label, unknowns), col, residual in zip(names, sol.T, residuals):
+            steps.append(EliminationStep(
+                len(steps) + 1, label, block.shape[0], unknowns, rank, float(residual),
+                {lab: complex(val) for lab, val in zip(unknowns, col)},
+            ))
         return sol
 
     # Block 1: rows (i, 0, 0); unknowns e(1..P-1, 0) and f(0..N-1, 0).
-    labels = [f"e({l},0)" for l in range(1, p)] + [f"f({r},0)" for r in range(n)]
+    labels = tuple(f"e({l},0)" for l in range(1, p)) + tuple(f"f({r},0)" for r in range(n))
     block = np.zeros((m, n + p - 1), dtype=complex)
     block[:, :p - 1] = amps[:, 0, 1:]            # e(l,0), l >= 1
     block[:, p - 1:] = -amps[:, :, 0]            # f(r,0)
     rhs = -amps[:, 0, 0] * e[0, 0]
-    sol = solve_block(1, "rows (i,0,0)", block, rhs, labels)
+    sol = solve_block(block, rhs[:, None], [("rows (i,0,0)", labels)])[:, 0]
     e[1:, 0] = sol[:p - 1]
     f[:, 0] = sol[p - 1:]
 
-    # Blocks k = 1..P-1: rows (i, 0, k); unknowns e(., k).
-    for k in range(1, p):
-        labels = [f"e({l},{k})" for l in range(p)]
-        block = amps[:, 0, :]                    # coefficient of e(l,k) is a[i,0,l]
-        rhs = amps[:, :, k] @ f[:, 0]            # known right-hand side
-        sol = solve_block(len(steps) + 1, f"rows (i,0,{k})", block, rhs, labels)
-        e[:, k] = sol
+    # Blocks k = 1..P-1: rows (i, 0, k); unknowns e(., k). One block,
+    # a[i,0,l] on e(l,k), with the known right-hand side of block k in column k-1.
+    names = [(f"rows (i,0,{k})", tuple(f"e({l},{k})" for l in range(p))) for k in range(1, p)]
+    e[:, 1:] = solve_block(amps[:, 0, :], f[:, 0] @ amps[:, :, 1:], names)
 
-    # Blocks j = 1..N-1: rows (i, j, k) for all k; unknowns f(., j).
-    for j in range(1, n):
-        labels = [f"f({r},{j})" for r in range(n)]
-        block = amps.transpose(0, 2, 1).reshape(m * p, n)   # a[i,r,k] on f(r,j)
-        rhs = (amps[:, j, :] @ e).reshape(m * p)            # sum_l a[i,j,l] e(l,k)
-        sol = solve_block(len(steps) + 1, f"rows (i,{j},k)", block, rhs, labels)
-        f[:, j] = sol
+    # Blocks j = 1..N-1: rows (i, j, k) for all k; unknowns f(., j). One
+    # block, a[i,r,k] on f(r,j), with sum_l a[i,j,l] e(l,k) in column j-1.
+    names = [(f"rows (i,{j},k)", tuple(f"f({r},{j})" for r in range(n))) for j in range(1, n)]
+    block = amps.transpose(0, 2, 1).reshape(m * p, n)
+    rhs = (amps[:, 1:, :] @ e).transpose(0, 2, 1).reshape(m * p, n - 1)
+    f[:, 1:] = solve_block(block, rhs, names)
 
     # Assemble the full unknown vector in consistency-matrix column order.
     solution = np.concatenate([e.reshape(-1), f.reshape(-1)])

@@ -18,8 +18,10 @@ import pytest
 from hypothesis import settings
 
 from qmarginal.claims import ghz_state  # noqa: F401  (re-exported for the tests)
-from qmarginal.tensor import DensityMatrix, herm_to_vec, partial_trace_matrix, product_operators
-from qmarginal.uniqueness import TripartiteShape
+from qmarginal.tensor import (DensityMatrix, herm_to_vec, partial_trace_matrix, product_operators,
+                              rank_and_nullspace)
+from qmarginal.uniqueness import (DEFAULT_RANK_RTOL, EliminationStep, RankDeficientBlockError,
+                                  TripartiteShape)
 
 settings.register_profile("qmarginal", deadline=None, derandomize=True, database=None)
 settings.load_profile("qmarginal")
@@ -170,3 +172,44 @@ def kron_all(mats):
 @pytest.fixture
 def np_rng():
     return np.random.default_rng(20260808)
+
+
+def reference_elimination_steps(amps: np.ndarray):
+    """Steps of the sequential elimination, one ``rank_and_nullspace`` and
+    one ``lstsq`` per step, each step solving its own block for its own
+    right-hand side. Returns ``(steps, solution)``."""
+    m, n, p = amps.shape
+    e = np.full((p, p), np.nan + 0j)
+    f = np.full((n, n), np.nan + 0j)
+    e[0, 0] = 1.0
+    steps = []
+
+    def solve_block(index, label, block, rhs, labels):
+        rank, _ = rank_and_nullspace(block, rtol=DEFAULT_RANK_RTOL)
+        if rank < block.shape[1]:
+            raise RankDeficientBlockError(index, label, rank, block.shape[1])
+        sol = np.linalg.lstsq(block, rhs, rcond=None)[0]
+        residual = float(np.linalg.norm(block @ sol - rhs))
+        steps.append(EliminationStep(
+            index, label, block.shape[0], tuple(labels), rank, residual,
+            {lab: complex(val) for lab, val in zip(labels, sol)},
+        ))
+        return sol
+
+    labels = [f"e({l},0)" for l in range(1, p)] + [f"f({r},0)" for r in range(n)]
+    block = np.zeros((m, n + p - 1), dtype=complex)
+    block[:, :p - 1] = amps[:, 0, 1:]
+    block[:, p - 1:] = -amps[:, :, 0]
+    sol = solve_block(1, "rows (i,0,0)", block, -amps[:, 0, 0] * e[0, 0], labels)
+    e[1:, 0] = sol[:p - 1]
+    f[:, 0] = sol[p - 1:]
+    for k in range(1, p):
+        labels = [f"e({l},{k})" for l in range(p)]
+        e[:, k] = solve_block(len(steps) + 1, f"rows (i,0,{k})", amps[:, 0, :],
+                              amps[:, :, k] @ f[:, 0], labels)
+    for j in range(1, n):
+        labels = [f"f({r},{j})" for r in range(n)]
+        block = amps.transpose(0, 2, 1).reshape(m * p, n)
+        f[:, j] = solve_block(len(steps) + 1, f"rows (i,{j},k)", block,
+                              (amps[:, j, :] @ e).reshape(m * p), labels)
+    return steps, np.concatenate([e.reshape(-1), f.reshape(-1)])

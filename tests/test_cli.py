@@ -96,6 +96,16 @@ class TestCheck:
         assert lin["verdict"] == "UNIQUE_LINEAR"
         assert lin["null_dim"] == 1
         assert lin["shape"] == [4, 2, 2]
+        assert lin["decided_by"] == "certificate" and lin["certificate_gap"] > 1e-8
+
+    def test_linear_below_bound_decided_by_svd(self, tmp_path):
+        # Three qubits as (2, 2, 2): too few rows of party A for the prefix
+        # certificate, so the SVD decides and no gap is reported.
+        out = tmp_path / "report.json"
+        main(["check", "--seed", "1", "--n", "3", "--d", "2", "--mode", "linear",
+              "--out", str(out)])
+        lin = load_json(out)["results"]["linear"]
+        assert lin["decided_by"] == "svd" and lin["certificate_gap"] is None
 
     def test_linear_split_past_4096_amplitudes(self, tmp_path):
         # m = 4: 13 qubits, covered fraction 9/13.

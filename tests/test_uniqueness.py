@@ -19,7 +19,8 @@ from qmarginal.uniqueness import (
 )
 
 import conftest
-from conftest import column_of, ghz_state, haar_unitary, party_split
+from conftest import (column_of, ghz_state, haar_unitary, party_split,
+                      reference_elimination_steps)
 
 
 def haar(shape, seed):
@@ -179,7 +180,8 @@ class TestRFactorMatchesDenseK:
         assert_matches_dense_k(states[family])
 
     @settings(max_examples=25, deadline=None)
-    @given(shape=st.tuples(*[st.integers(2, 5)] * 3), seed=st.integers(0, 2 ** 32 - 1))
+    @given(shape=st.tuples(st.integers(2, 8), st.integers(2, 5), st.integers(2, 5)),
+           seed=st.integers(0, 2 ** 32 - 1))
     def test_property_haar(self, shape, seed):
         assert_matches_dense_k(haar(shape, seed))
 
@@ -197,6 +199,84 @@ class TestRFactorMatchesDenseK:
         # only mean that the tolerance lies below the singular values' noise.
         with pytest.raises(ValueError, match="rank_rtol=1e-20 is below the rounding floor"):
             check_linear_uniqueness(haar((4, 2, 2), 2), rank_rtol=1e-20)
+
+
+def zero_prefix(shape, seed, rows=3):
+    """A Haar state with its first ``rows`` rows of party A set to zero."""
+    amps = np.array(haar(shape, seed).amplitudes)
+    amps[:rows] = 0
+    return AmplitudeTensor(PartySignature(shape), amps / np.linalg.norm(amps))
+
+
+class TestKernelCertificate:
+    """The prefix certificate proves K's kernel a line from rows i < M' of
+    party A; when it refuses, the R-factor SVD decides as before."""
+
+    @pytest.mark.parametrize("shape", [(8, 4, 4), (16, 8, 8), (27, 9, 9)])
+    def test_certifies_haar_without_the_r_factor(self, shape, monkeypatch):
+        def refuse(_):
+            raise AssertionError("the SVD path ran")
+        monkeypatch.setattr(uniqueness, "_consistency_r_factor", refuse)
+        verdict = check_linear_uniqueness(haar(shape, 7))
+        assert verdict.verdict == UNIQUE_LINEAR and verdict.null_dim == 1
+        assert verdict.decided_by == "certificate" and verdict.certificate_gap > 1e-8
+        assert verdict.residual < 1e-14
+
+    @pytest.mark.parametrize("shape", [(3, 2, 2), (4, 2, 2), (5, 3, 2), (9, 3, 3), (16, 8, 8),
+                                       (27, 9, 9)])
+    def test_gap_is_a_lower_bound_on_the_prefix(self, shape):
+        # The bound holds for K_pre, the rows i < M' of K, and so for K.
+        state = haar(shape, 8)
+        dense = build_consistency_matrix(state).matrix
+        m_pre = uniqueness._prefix_rows(*shape)
+        s_pre = np.linalg.svd(dense[:m_pre * shape[1] * shape[2]], compute_uv=False)
+        s = np.linalg.svd(dense, compute_uv=False)
+        verdict = check_linear_uniqueness(state)
+        assert verdict.decided_by == "certificate"
+        assert verdict.certificate_gap * np.linalg.norm(dense) <= s_pre[-2] <= s[-2]
+
+    @pytest.mark.parametrize("shape", [(8, 4, 4), (27, 9, 9)])
+    def test_zero_prefix_falls_back(self, shape):
+        state = zero_prefix(shape, 9)
+        assert uniqueness._kernel_certificate(state.amplitudes, DEFAULT_RANK_RTOL) is None
+        verdict = check_linear_uniqueness(state)
+        assert verdict.verdict == UNIQUE_LINEAR
+        assert (verdict.decided_by, verdict.certificate_gap) == ("svd", None)
+        assert_matches_dense_k(state)
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (3, 2, 2), (4, 2, 2), (5, 3, 2), (8, 4, 4),
+                                       (9, 3, 3), (2, 2, 4), (2, 4, 2)])
+    @pytest.mark.parametrize("family", [ghz_type, product_state])
+    def test_degenerate_families_never_certified(self, shape, family):
+        verdict = check_linear_uniqueness(family(shape))
+        assert verdict.decided_by == "svd" and verdict.certificate_gap is None
+        assert verdict.verdict == DEGENERATE
+
+    def test_coarse_rank_cut_refuses(self, monkeypatch):
+        state = haar((8, 4, 4), 10)
+        verdict = check_linear_uniqueness(state, rank_rtol=0.5)
+        monkeypatch.setattr(uniqueness, "_kernel_certificate", lambda *_: None)
+        fallback = check_linear_uniqueness(state, rank_rtol=0.5)
+        assert verdict.decided_by == "svd"
+        assert (verdict.verdict, verdict.null_dim, verdict.residual) == \
+            (fallback.verdict, fallback.null_dim, fallback.residual)
+        assert np.array_equal(verdict.kernel, fallback.kernel)
+
+    @pytest.mark.parametrize("shape", [(4, 2, 2), (27, 9, 9)])
+    def test_rank_rtol_below_rounding_floor_refuses(self, shape):
+        state = haar(shape, 2)
+        assert uniqueness._kernel_certificate(state.amplitudes, 1e-20) is None
+        with pytest.raises(ValueError, match="below the rounding floor"):
+            check_linear_uniqueness(state, rank_rtol=1e-20)
+
+    @pytest.mark.parametrize("shape, rows", [
+        ((4, 2, 2), 3), ((27, 9, 9), 3), ((32, 16, 16), 3),
+        ((3, 2, 2), 3),    # capped at M
+        ((9, 2, 8), 5),    # M'N >= P needs 4 rows, M'NP - P^2 >= N^2 - 1 needs 5
+        ((2, 2, 5), 2),    # capped, and then refused: M'N < P
+    ])
+    def test_prefix_rows_from_shape(self, shape, rows):
+        assert uniqueness._prefix_rows(*shape) == rows
 
 
 class TestLocalUnitaryInvariance:
@@ -251,6 +331,31 @@ class TestSequentialElimination:
         assert first.n_rows == 3
         assert len(first.unknowns) == 3
         assert report.verdict == UNIQUE_LINEAR
+
+    @pytest.mark.parametrize("shape", [(3, 2, 2), (4, 2, 2), (5, 3, 2), (6, 3, 3), (8, 4, 4),
+                                       (9, 3, 3), (16, 8, 8), (27, 9, 9)])
+    def test_matches_per_block_reference(self, shape):
+        # Factoring each shared block once changes no step, only the work.
+        state = haar(shape, sum(shape))
+        report = sequential_elimination_trace(state)
+        ref_steps, ref_solution = reference_elimination_steps(state.amplitudes)
+        assert len(report.steps) == len(ref_steps) == shape[1] + shape[2] - 1
+        for step, ref in zip(report.steps, ref_steps):
+            assert (step.index, step.label, step.n_rows, step.unknowns, step.rank) == \
+                (ref.index, ref.label, ref.n_rows, ref.unknowns, ref.rank)
+            assert list(step.values) == list(ref.values)
+            assert max(abs(step.values[k] - ref.values[k]) for k in ref.values) < 1e-13
+            assert step.residual < 1e-13 and ref.residual < 1e-13
+        assert np.abs(report.solution - ref_solution).max() < 1e-13
+
+    def test_rank_deficient_step_matches_reference(self):
+        state = ghz_type((4, 2, 2))
+        with pytest.raises(RankDeficientBlockError) as ref:
+            reference_elimination_steps(state.amplitudes)
+        with pytest.raises(RankDeficientBlockError) as err:
+            sequential_elimination_trace(state)
+        assert (err.value.step, err.value.label, err.value.rank, err.value.needed) == \
+            (ref.value.step, ref.value.label, ref.value.rank, ref.value.needed)
 
     def test_below_bound_rejected(self):
         with pytest.raises(ValueError, match="M >= N \\+ P - 1"):
