@@ -137,9 +137,6 @@ def solve_alpha_lower(d: int) -> AlphaSolution:
         return binary_entropy(a) + a * ln_q - ln_d
 
     lo, hi = 1e-16, 0.5
-    if f(hi) <= 0.0:  # cannot happen for d >= 2; defensive
-        raise ValueError(f"no sign change on (0, 1/2] for d={d}")
-    mid = 0.5 * (lo + hi)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if f(mid) < 0.0:

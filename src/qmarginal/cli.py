@@ -17,6 +17,7 @@ import io
 import json
 import sys
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .tensor import (
     AmplitudeTensor,
     PartySignature,
     SeededRng,
+    _validate_subset,
     coarse_grain,
     haar_random_state,
 )
@@ -62,16 +64,36 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+class Findings(NamedTuple):
+    """What a report subcommand found; :func:`main` turns it into the report."""
+
+    results: dict
+    code: int = EXIT_OK
+    timings: dict | None = None  # entries beside "wall_seconds"
+    table: list | None = None  # CSV rows, header first
+
+
+# Every parsed flag except these is echoed into a report's "config".
+_NOT_ECHOED = frozenset({"command", "func", "out", "format"})
+
+# A witness factor keeps the eigenvalues above this fraction of the largest.
+_FACTOR_RTOL = 1e-12
+
+
 # ---------------------------------------------------------------------------
 # State file format
 # ---------------------------------------------------------------------------
 
+def _complex_pairs(arr: np.ndarray) -> list:
+    """A complex array as nested lists whose innermost entries are [re, im]."""
+    return np.stack([arr.real, arr.imag], axis=-1).tolist()
+
+
 def state_to_json(state: AmplitudeTensor) -> str:
-    amps = state.vector()
     return json.dumps({
         "schema": STATE_SCHEMA,
         "dims": list(state.signature.dims),
-        "amplitudes": [[float(a.real), float(a.imag)] for a in amps],
+        "amplitudes": _complex_pairs(state.vector()),
     }, sort_keys=True, indent=2) + "\n"
 
 
@@ -100,25 +122,28 @@ def state_from_json(text: str) -> AmplitudeTensor:
 # ---------------------------------------------------------------------------
 
 def _parse_subsets(text: str, n_parties: int) -> list[tuple[int, ...]]:
-    """Parse comma-separated index groups, e.g. "01,02,12" or "0-10,2-3"."""
+    """Parse comma-separated party groups: "01,02,12" lists single-digit
+    parties, "0-10,2-3" dash-separated ones ("0-10" is parties 0 and 10)."""
     groups = []
     for chunk in text.split(","):
         chunk = chunk.strip()
-        if not chunk:
-            raise UsageError(f"empty subset in {text!r}")
-        parts = chunk.split("-") if "-" in chunk else list(chunk)
         try:
-            idx = tuple(sorted(int(p) for p in parts))
+            parties = [int(p) for p in (chunk.split("-") if "-" in chunk else chunk)]
         except ValueError:
             raise UsageError(f"malformed subset {chunk!r}") from None
-        if len(set(idx)) != len(idx):
-            raise UsageError(f"repeated party in subset {chunk!r}")
-        if idx and (idx[0] < 0 or idx[-1] >= n_parties):
-            raise UsageError(f"subset {chunk!r} out of range for {n_parties} parties")
-        groups.append(idx)
-    if not groups:
-        raise UsageError("no subsets given")
+        groups.append(_validate_subset(parties, n_parties))
     return groups
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of a count: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
 
 
 def _parse_range(text: str, name: str) -> list[int]:
@@ -135,35 +160,21 @@ def _parse_range(text: str, name: str) -> list[int]:
         raise UsageError(f"malformed {name} range {text!r}") from None
 
 
-def _matrix_payload(matrix: np.ndarray) -> list[list[list[float]]]:
-    return [[[float(x.real), float(x.imag)] for x in row] for row in matrix]
+def _witness_factor(w: np.ndarray) -> np.ndarray:
+    """The T x r factor A with ``W = A A^dagger``: W's eigenvectors, each
+    scaled by the square root of its eigenvalue, for the eigenvalues above
+    ``_FACTOR_RTOL`` times the largest, in ascending order."""
+    vals, vecs = np.linalg.eigh(w)
+    keep = vals > _FACTOR_RTOL * vals[-1]
+    return vecs[:, keep] * np.sqrt(vals[keep])
 
 
-def _emit(report: dict, fmt: str, out_path: str | None,
-          csv_rows=None, csv_header=None) -> None:
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(csv_header)
-        writer.writerows(csv_rows)
-        text = buf.getvalue()
-    else:
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+def _write(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _report(command: str, config: dict, results: dict, started: float) -> dict:
-    return {
-        "schema": REPORT_SCHEMA,
-        "command": command,
-        "config": config,
-        "results": results,
-        "timings": {"wall_seconds": time.perf_counter() - started},
-    }
 
 
 def _projection_config(args) -> ProjectionConfig:
@@ -184,22 +195,12 @@ def _load_state(args) -> AmplitudeTensor:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_sample(args) -> int:
-    if args.n is None or args.d is None:
-        raise UsageError("sample needs --n and --d")
+def cmd_sample(args) -> str:
     sig = PartySignature([args.d] * args.n)
-    state = haar_random_state(sig, SeededRng(args.seed))
-    text = state_to_json(state)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    return state_to_json(haar_random_state(sig, SeededRng(args.seed)))
 
 
-def cmd_check(args) -> int:
-    started = time.perf_counter()
+def cmd_check(args) -> Findings:
     # Both float flags are echoed into the report whatever the mode, so
     # both are checked before any work.
     config = _projection_config(args)
@@ -256,27 +257,18 @@ def cmd_check(args) -> int:
             ],
         }
         if verdict.verdict == NON_UNIQUE:
-            oracle["witnesses"] = [_matrix_payload(w.matrix) for w in verdict.witnesses[1:]]
+            oracle["witness_factors"] = [_complex_pairs(_witness_factor(w.matrix))
+                                         for w in verdict.witnesses[1:]]
         results["oracle"] = oracle
         codes.append({UNIQUE: EXIT_OK, NON_UNIQUE: EXIT_NEGATIVE,
                       INCONCLUSIVE: EXIT_INCONCLUSIVE}[verdict.verdict])
 
-    config_echo = {
-        "mode": args.mode, "state": args.state, "n": args.n, "d": args.d,
-        "m": args.m, "seed": args.seed, "subsets": args.subsets,
-        "tol_rank": args.tol_rank, "tol_converge": args.tol_converge,
-        "max_iter": args.max_iter,
-    }
-    _emit(_report("check", config_echo, results, started), args.format, args.out)
-    if EXIT_NEGATIVE in codes:
-        return EXIT_NEGATIVE
-    if EXIT_INCONCLUSIVE in codes:
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
+    # A negative finding outranks an inconclusive one.
+    return Findings(results, next((c for c in (EXIT_NEGATIVE, EXIT_INCONCLUSIVE)
+                                   if c in codes), EXIT_OK))
 
 
-def cmd_survey(args) -> int:
-    started = time.perf_counter()
+def cmd_survey(args) -> Findings:
     sig = PartySignature([args.d] * args.n)
     subsets = _parse_subsets(args.subsets, args.n)
     config = _projection_config(args)
@@ -297,29 +289,19 @@ def cmd_survey(args) -> int:
         "non_unique_fraction": verdicts.count(NON_UNIQUE) / args.trials,
         "inconclusive_fraction": verdicts.count(INCONCLUSIVE) / args.trials,
     }
-    report = _report("survey", {
-        "n": args.n, "d": args.d, "subsets": args.subsets, "trials": args.trials,
-        "seed": args.seed, "tol_converge": args.tol_converge, "max_iter": args.max_iter,
-    }, results, started)
-    report["timings"]["trial_seconds"] = trial_seconds
-    csv_rows = [[i, v] for i, v in enumerate(verdicts)]
-    _emit(report, args.format, args.out, csv_rows, ["trial", "verdict"])
-    return EXIT_OK
+    return Findings(results, timings={"trial_seconds": trial_seconds},
+                    table=[("trial", "verdict"), *enumerate(verdicts)])
 
 
-def cmd_bounds(args) -> int:
-    started = time.perf_counter()
+def cmd_bounds(args) -> Findings:
+    # Ranges ascend, so bounds_rows refuses a d < 2 or an n < 1 at the first row.
     d_values = _parse_range(args.d, "--d")
     n_values = _parse_range(args.n, "--n") if args.n else list(range(1, 11))
-    if any(d < 2 for d in d_values):
-        raise UsageError("--d values must be >= 2")
-    if any(n < 1 for n in n_values):
-        raise UsageError("--n values must be >= 1")
-    table = []
+    counting = []
     for d in d_values:
         for n in n_values:
             for row in bounds_mod.bounds_rows(n, d):
-                table.append({
+                counting.append({
                     "n": row.n, "d": row.d, "k": row.k,
                     "reduced_param_count": str(row.reduced_param_count),
                     "pure_param_count": str(row.pure_param_count),
@@ -336,53 +318,39 @@ def cmd_bounds(args) -> int:
          "fraction": str(r["fraction"]), "fraction_float": float(r["fraction"])}
         for r in bounds_mod.alpha_upper_table(args.m_max)
     ]
-    results = {"counting_table": table, "alpha_lower": alphas, "alpha_upper": upper}
-    report = _report("bounds", {
-        "d": args.d, "n": args.n, "m_max": args.m_max,
-    }, results, started)
-    csv_rows = [[r["n"], r["d"], r["k"], r["reduced_param_count"],
-                 r["pure_param_count"], r["sufficient_by_count"]] for r in table]
-    _emit(report, args.format, args.out, csv_rows,
-          ["n", "d", "k", "reduced_param_count", "pure_param_count", "sufficient"])
-    return EXIT_OK
+    header = ("n", "d", "k", "reduced_param_count", "pure_param_count", "sufficient")
+    return Findings({"counting_table": counting, "alpha_lower": alphas, "alpha_upper": upper},
+                    table=[header, *(row.values() for row in counting)])
 
 
-def cmd_classical(args) -> int:
-    started = time.perf_counter()
-    if args.epsilon is None:
-        raise UsageError("classical needs --epsilon")
-    rng = SeededRng(args.seed)
-    config_echo = {"n": args.n, "d": args.d, "epsilon": args.epsilon, "seed": args.seed}
+def cmd_classical(args) -> Findings:
     try:
-        p, q = classical_mod.counterexample_pair(args.n, args.d, args.epsilon, rng)
+        p, q = classical_mod.counterexample_pair(args.n, args.d, args.epsilon,
+                                                 SeededRng(args.seed))
     except classical_mod.EpsilonTooLargeError as exc:
-        results = {"rejected": True, "max_admissible_epsilon": exc.max_admissible}
-        _emit(_report("classical", config_echo, results, started), args.format, args.out)
-        return EXIT_NEGATIVE
-    results = {
+        return Findings({"rejected": True, "max_admissible_epsilon": exc.max_admissible},
+                        EXIT_NEGATIVE)
+    return Findings({
         "rejected": False,
         **claims.pair_statistics(p, q),
         "p": p.probabilities.reshape(-1).tolist(),
         "q": q.probabilities.reshape(-1).tolist(),
-    }
-    _emit(_report("classical", config_echo, results, started), args.format, args.out)
-    return EXIT_OK
+    })
 
 
-def cmd_reproduce(args) -> int:
+def cmd_reproduce(args) -> Findings:
     """End-to-end pipeline touching every in-scope claim at desk scale.
 
     Every check is a :mod:`qmarginal.claims` definition, run here at the
     report's own substreams of ``--seed`` and sizes derived from
     ``--trials``; the sections report the numbers each was decided on.
     """
-    started = time.perf_counter()
     seed = args.seed
     trials = args.trials
     sections: dict = {}
     section_times: dict = {}
     checks: dict = {}
-    lap = started
+    lap = time.perf_counter()
 
     def check(claim, **params) -> dict:
         ok, values = claim(**params)
@@ -436,12 +404,9 @@ def cmd_reproduce(args) -> int:
     section("classical", check(claims.classical_counterexample, seed=seed),
             "max_marginal_difference", "l1_distance")
 
-    results = {"sections": sections, "checks": checks,
-               "all_checks_pass": all(checks.values())}
-    report = _report("reproduce", {"seed": seed, "trials": trials}, results, started)
-    report["timings"]["sections"] = section_times
-    _emit(report, args.format, args.out)
-    return EXIT_OK if all(checks.values()) else EXIT_NEGATIVE
+    passed = all(checks.values())
+    return Findings({"sections": sections, "checks": checks, "all_checks_pass": passed},
+                    EXIT_OK if passed else EXIT_NEGATIVE, timings={"sections": section_times})
 
 
 # ---------------------------------------------------------------------------
@@ -454,9 +419,9 @@ def build_parser() -> _Parser:
                                  "matrices; counting bounds; classical contrast.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, formats=("json",), oracle=False):
-        p.add_argument("--n", type=int, default=None, help="number of parties")
-        p.add_argument("--d", type=int, default=None, help="local dimension")
+    def common(p, *, formats=("json",), oracle=False, sized=True):
+        p.add_argument("--n", type=int, required=sized, help="number of parties")
+        p.add_argument("--d", type=int, required=sized, help="local dimension")
         p.add_argument("--seed", type=int, default=0, help="master seed")
         p.add_argument("--out", type=str, default=None, help="output path")
         if formats:
@@ -467,10 +432,9 @@ def build_parser() -> _Parser:
 
     p_sample = sub.add_parser("sample", help="write a seeded Haar-random state")
     common(p_sample, formats=())
-    p_sample.set_defaults(func=cmd_sample)
 
     p_check = sub.add_parser("check", help="uniqueness verdicts for one state")
-    common(p_check, oracle=True)
+    common(p_check, oracle=True, sized=False)  # or --state
     p_check.add_argument("--tol-rank", dest="tol_rank", type=float, default=1e-8)
     p_check.add_argument("--mode", choices=("linear", "oracle", "both"), default="oracle")
     p_check.add_argument("--subsets", type=str, default=None,
@@ -482,7 +446,7 @@ def build_parser() -> _Parser:
 
     p_survey = sub.add_parser("survey", help="uniqueness statistics on Haar samples")
     common(p_survey, formats=("json", "csv"), oracle=True)
-    p_survey.add_argument("--trials", type=int, default=None)
+    p_survey.add_argument("--trials", type=_positive_int, required=True)
     p_survey.add_argument("--subsets", type=str, required=True)
     p_survey.set_defaults(func=cmd_survey)
 
@@ -496,12 +460,12 @@ def build_parser() -> _Parser:
 
     p_classical = sub.add_parser("classical", help="marginal-equal classical pair")
     common(p_classical)
-    p_classical.add_argument("--epsilon", type=float, default=None)
+    p_classical.add_argument("--epsilon", type=float, required=True)
     p_classical.set_defaults(func=cmd_classical)
 
     p_rep = sub.add_parser("reproduce", help="run the full desk-scale pipeline")
     p_rep.add_argument("--seed", type=int, default=0)
-    p_rep.add_argument("--trials", type=int, default=20)
+    p_rep.add_argument("--trials", type=_positive_int, default=20)
     p_rep.add_argument("--format", choices=("json",), default="json")
     p_rep.add_argument("--out", type=str, default=None)
     p_rep.set_defaults(func=cmd_reproduce)
@@ -513,17 +477,26 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "survey":
-            if args.trials is None or args.trials < 1:
-                raise UsageError("survey needs --trials >= 1")
-            if args.n is None or args.d is None:
-                raise UsageError("survey needs --n and --d")
-        if args.command == "reproduce" and args.trials < 1:
-            raise UsageError("reproduce needs --trials >= 1")
-        if args.command == "classical":
-            if args.n is None or args.d is None:
-                raise UsageError("classical needs --n and --d")
-        return args.func(args)
+        if args.command == "sample":
+            _write(cmd_sample(args), args.out)
+            return EXIT_OK
+        started = time.perf_counter()
+        found = args.func(args)
+        if args.format == "csv":
+            buf = io.StringIO()
+            csv.writer(buf).writerows(found.table)
+            text = buf.getvalue()
+        else:
+            text = json.dumps({
+                "schema": REPORT_SCHEMA,
+                "command": args.command,
+                "config": {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED},
+                "results": found.results,
+                "timings": {"wall_seconds": time.perf_counter() - started,
+                            **(found.timings or {})},
+            }, sort_keys=True, indent=2) + "\n"
+        _write(text, args.out)
+        return found.code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

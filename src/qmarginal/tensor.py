@@ -335,7 +335,7 @@ def trace_distance(a, b) -> float:
     """Trace distance ``0.5 * ||a - b||_1`` between Hermitian matrices."""
     am = a.matrix if isinstance(a, DensityMatrix) else np.asarray(a)
     bm = b.matrix if isinstance(b, DensityMatrix) else np.asarray(b)
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(am - bm))))
+    return 0.5 * trace_norm(am - bm)
 
 
 def trace_norm(x: np.ndarray) -> float:

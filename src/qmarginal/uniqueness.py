@@ -161,19 +161,18 @@ def build_consistency_matrix(a: AmplitudeTensor) -> ConsistencyMatrix:
     return ConsistencyMatrix(shape, k_mat)
 
 
+def _identity_pattern(shape: TripartiteShape) -> np.ndarray:
+    """1 at every diagonal unknown e(l,l) and f(r,r), 0 elsewhere."""
+    return np.concatenate([np.eye(shape.P), np.eye(shape.N)], axis=None).astype(complex)
+
+
 def identity_pattern_vector(shape: TripartiteShape) -> np.ndarray:
-    """Unit vector with 1 at every diagonal unknown e(l,l) and f(r,r).
+    """Unit vector along the identity pattern (1 at every e(l,l) and f(r,r)).
 
     It lies in the kernel of every consistency matrix because the two sums
     in each row then both reduce to the same amplitude.
     """
-    p, n = shape.P, shape.N
-    v = np.zeros(shape.n_unknowns, dtype=complex)
-    for l in range(p):
-        v[l * p + l] = 1.0
-    for r in range(n):
-        v[p * p + r * n + r] = 1.0
-    return v / np.sqrt(n + p)
+    return _identity_pattern(shape) / np.sqrt(shape.N + shape.P)
 
 
 def _rotated_blocks(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -438,11 +437,6 @@ def sequential_elimination_trace(a: AmplitudeTensor) -> EliminationReport:
 
     # Assemble the full unknown vector in consistency-matrix column order.
     solution = np.concatenate([e.reshape(-1), f.reshape(-1)])
-    target = np.zeros_like(solution)
-    for l in range(p):
-        target[l * p + l] = 1.0
-    for r in range(n):
-        target[p * p + r * n + r] = 1.0
-    max_dev = float(np.abs(solution - target).max())
+    max_dev = float(np.abs(solution - _identity_pattern(shape)).max())
     verdict = UNIQUE_LINEAR if max_dev < np.sqrt(n + p) * _PATTERN_TOL * 10 else DEGENERATE
     return EliminationReport(tuple(steps), solution, max_dev, verdict)

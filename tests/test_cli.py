@@ -15,11 +15,14 @@ from qmarginal.cli import (
     EXIT_NEGATIVE,
     EXIT_OK,
     EXIT_USAGE,
+    build_parser,
     main,
     state_from_json,
     state_to_json,
 )
-from qmarginal.tensor import AmplitudeTensor
+from qmarginal.feasibility import uniqueness_probe
+from qmarginal.tensor import (PartySignature, SeededRng, haar_random_state,
+                              partial_trace_matrix)
 
 from conftest import ghz_state
 
@@ -80,7 +83,7 @@ class TestCheck:
         report = load_json(out)
         oracle = report["results"]["oracle"]
         assert oracle["verdict"] == "NON_UNIQUE"
-        assert oracle["witnesses"]
+        assert oracle["witness_factors"] and "witnesses" not in oracle
         assert oracle["max_marginal_residual"] < 1e-9
         assert oracle["certified"] is False and oracle["decided_by"] == "dykstra"
         assert oracle["certificate_gap"] < 1e-3
@@ -139,9 +142,11 @@ class TestCheck:
                        "--m", str(m), "--mode", "linear"], capsys)
         assert code == EXIT_USAGE
 
-    def test_malformed_subsets_usage_error(self, capsys):
+    @pytest.mark.parametrize("subsets", ["0x,12", "01,,12", "11,02"],
+                             ids=["malformed", "empty", "repeated"])
+    def test_malformed_subsets_usage_error(self, subsets, capsys):
         code, _ = run(["check", "--seed", "1", "--n", "3", "--d", "2",
-                       "--mode", "oracle", "--subsets", "0x,12"], capsys)
+                       "--mode", "oracle", "--subsets", subsets], capsys)
         assert code == EXIT_USAGE
 
     def test_out_of_range_subset_usage_error(self, capsys):
@@ -165,6 +170,48 @@ class TestCheck:
         # A (2,2,2) grouping sits below the M >= N+P-1 bound, so the linear
         # verdict may legitimately be DEGENERATE while the oracle says UNIQUE.
         assert code in (EXIT_OK, EXIT_NEGATIVE)
+
+
+class TestWitnessFactors:
+    @pytest.mark.parametrize("state,subsets", [
+        (lambda: ghz_state(3), "01,02,12"),
+        (lambda: haar_random_state(PartySignature([2] * 7), SeededRng(4)), "0-1,1-2"),
+    ], ids=["ghz3-pairs", "haar7-uncovered-party"])
+    def test_factor_rebuilds_the_verdicts_witness(self, state, subsets, tmp_path,
+                                                  monkeypatch):
+        psi = state()
+        fixture, out = tmp_path / "state.json", tmp_path / "report.json"
+        fixture.write_text(state_to_json(psi))
+        verdicts = []
+
+        def probe(*args, **kwargs):
+            verdicts.append(uniqueness_probe(*args, **kwargs))
+            return verdicts[-1]
+        monkeypatch.setattr(cli, "uniqueness_probe", probe)
+        assert main(["check", "--state", str(fixture), "--mode", "oracle",
+                     "--subsets", subsets, "--out", str(out)]) == EXIT_NEGATIVE
+        oracle = load_json(out)["results"]["oracle"]
+        rho = np.outer(psi.vector(), psi.vector().conj())
+        dims = psi.signature.dims
+        witnesses = verdicts[0].witnesses[1:]
+        assert len(oracle["witness_factors"]) == len(witnesses) >= 1
+        for pairs, witness in zip(oracle["witness_factors"], witnesses):
+            factor = np.array(pairs) @ np.array([1, 1j])
+            w = factor @ factor.conj().T
+            assert np.abs(w - witness.matrix).max() <= 1e-12
+            for keep in oracle["subsets"]:
+                assert np.abs(partial_trace_matrix(w, dims, keep)
+                              - partial_trace_matrix(rho, dims, keep)).max() <= 1e-9
+
+    def test_mixed_witness_keeps_the_eigenvalues_above_the_cut(self):
+        # Every witness the probe has returned so far is pure; a rank-2 W
+        # checks the sqrt(lambda) scaling and the relative cut.
+        rng = np.random.default_rng(0)
+        u = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+        w = u @ np.diag([0.0, 1e-15, 0.3, 0.7]) @ u.conj().T
+        factor = cli._witness_factor(w)
+        assert factor.shape == (4, 2)
+        assert np.abs(factor @ factor.conj().T - w).max() <= 1e-12
 
 
 class TestSurvey:
@@ -301,6 +348,34 @@ class TestUsage:
         code, out = run(command + ["--format", "csv"], capsys)
         assert code == EXIT_USAGE
         assert out == "" and calls == []
+
+    @pytest.mark.parametrize("argv", [
+        ["survey", "--d", "2", "--subsets", "01,02,12", "--trials", "1"],
+        ["survey", "--n", "3", "--subsets", "01,02,12", "--trials", "1"],
+        ["survey", "--n", "3", "--d", "2", "--subsets", "01,02,12"],
+        ["classical", "--d", "2", "--epsilon", "0.01"],
+        ["classical", "--n", "3", "--epsilon", "0.01"],
+        ["classical", "--n", "3", "--d", "2"],
+    ], ids=["survey-no-n", "survey-no-d", "survey-no-trials", "classical-no-n",
+            "classical-no-d", "classical-no-epsilon"])
+    def test_missing_required_flag_is_a_usage_error(self, argv, capsys):
+        code, out = run(argv, capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--n", "3", "--d", "2", "--mode", "linear"],
+        ["survey", "--n", "3", "--d", "2", "--subsets", "01,02,12", "--trials", "1"],
+        ["bounds", "--d", "2", "--n", "3"],
+        ["classical", "--n", "3", "--d", "2", "--epsilon", "0.01"],
+        ["reproduce", "--trials", "1"],
+    ], ids=["check", "survey", "bounds", "classical", "reproduce"])
+    def test_config_echoes_every_flag(self, argv, capsys):
+        code, out = run(argv, capsys)
+        assert code != EXIT_USAGE
+        subparsers = build_parser()._subparsers._group_actions[0].choices
+        dests = {action.dest for action in subparsers[argv[0]]._actions}
+        assert set(json.loads(out)["config"]) == dests - {"help", "out", "format"}
 
     def test_numerical_failure_is_an_internal_error(self, monkeypatch, capsys):
         def failing_solver(*args, **kwargs):
