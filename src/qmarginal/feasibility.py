@@ -6,7 +6,9 @@ traces) with the positive-semidefinite cone. The affine set is written in
 the orthonormal generalized Gell-Mann product-operator basis: the marginal
 on a subset S fixes exactly the coefficients of the operators whose
 support lies inside S, so the affine projection resets those coefficients
-and the remaining operators span the null space of the marginal map.
+and the remaining operators span the null space of the marginal map. The
+projection reads and writes those coefficients one party at a time, never
+through a matrix of the operators themselves.
 This module decides whether a pure state is the *only* point of that
 intersection by multi-start Dykstra-corrected alternating projections,
 with starting points biased along that null space (the only directions
@@ -46,6 +48,7 @@ otherwise.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -58,6 +61,8 @@ from .tensor import (
     PartySignature,
     SeededRng,
     _freeze,
+    _product_coefficients,
+    _product_combination,
     _validate_subset,
     haar_random_state,
     herm_to_vec,
@@ -116,8 +121,8 @@ _DUAL_STEPS = 60
 # Gauss-Newton steps per polish, and extrapolation rounds per witness pursuit.
 _POLISH_STEPS = 30
 _PURSUIT_ROUNDS = 40
-# Shapes (dims and subsets) whose constraint layout stays cached. At 7
-# qubits one layout's rows take 260 MB and stay resident while cached.
+# Shapes (dims and subsets) whose constraint layout stays cached. A layout
+# holds d_S^4 floats per distinct subset shape: 8 MB for a 5-qubit subset.
 _LAYOUT_CACHE_SIZE = 8
 
 
@@ -145,15 +150,19 @@ class MarginalConstraintSet:
     def from_state(cls, state: AmplitudeTensor,
                    subsets: Sequence[Sequence[int]]) -> "MarginalConstraintSet":
         """Constraints whose targets are the reduced states of a pure state."""
-        rho = to_density(state)
-        mat = rho.matrix
-        dims = state.signature.dims
+        return cls._from_density(to_density(state), subsets)
+
+    @classmethod
+    def _from_density(cls, rho: DensityMatrix,
+                      subsets: Sequence[Sequence[int]]) -> "MarginalConstraintSet":
+        """Constraints whose targets are the reduced states of ``rho``."""
+        signature = rho.signature
         cons = []
         for subset in subsets:
-            key = _validate_subset(subset, state.signature.n_parties)
-            reduced = partial_trace_matrix(mat, dims, key)
-            cons.append((key, DensityMatrix(state.signature.subsystem(key), reduced)))
-        return cls(state.signature, cons)
+            key = _validate_subset(subset, signature.n_parties)
+            reduced = partial_trace_matrix(rho.matrix, signature.dims, key)
+            cons.append((key, DensityMatrix(signature.subsystem(key), reduced)))
+        return cls(signature, cons)
 
     def covered_parties(self) -> set[int]:
         return set(p for s, _ in self.constraints for p in s)
@@ -196,20 +205,23 @@ class ConstraintOperator:
 
     Fixing the reduced state on a subset S fixes exactly the coefficients of
     the product operators (see :func:`product_operators`) whose support lies
-    inside S. ``rows`` holds the real coordinates (see :func:`herm_to_vec`)
-    of every such pinned operator over all constrained subsets; the rows are
-    orthonormal, so ``x - (x rows^T - target) rows`` is the orthogonal
-    projection onto the affine set. ``target`` holds the prescribed
-    coefficients: a label pinned by several subsets takes the average of
-    their values weighted by the dimension of each subset's complement
-    (``weights`` holds the sum of those dimensions), which is the
+    inside S. ``labels`` lists every such pinned operator over all
+    constrained subsets, sorted, as a flat row-major index into the
+    ``d_1^2 x ... x d_n^2`` grid of label tuples; the operators are
+    orthonormal, so ``X - sum_l (Tr(X B_l) - target_l) B_l`` is the
+    orthogonal projection onto the affine set. ``target`` holds the
+    prescribed coefficients: a label pinned by several subsets takes the
+    average of their values weighted by the dimension of each subset's
+    complement (``weights`` holds the sum of those dimensions), which is the
     least-squares compromise when the targets disagree. Unit trace is the
     marginal on the empty subset, whose complement is the whole system.
 
-    ``rows`` and ``weights`` depend only on the dimensions and the subsets,
-    so they come from :func:`_constraint_layout`, built once per shape and
-    shared, read-only, by every operator of that shape; only ``target`` is
-    computed per state.
+    The coefficients are computed party by party, with no T^2-column matrix
+    of the operators; only :meth:`operators` builds the operators, for the
+    two readers that need them. ``labels`` and ``weights`` depend only on
+    the dimensions and the subsets, so they come from
+    :func:`_constraint_layout`, built once per shape and shared, read-only,
+    by every operator of that shape; only ``target`` is computed per state.
     """
 
     def __init__(self, constraints: MarginalConstraintSet):
@@ -218,7 +230,7 @@ class ConstraintOperator:
         t = constraints.signature.total_dim
         self.dims = dims
         self.total_dim = t
-        self.rows, self.weights, pinned = _constraint_layout(
+        self.labels, self.weights, pinned = _constraint_layout(
             dims, tuple(subset for subset, _ in constraints.constraints))
         # Sum of weight * value per label, then divided by the summed weights.
         # Unit trace is the marginal on the empty subset: weight T, value
@@ -230,19 +242,38 @@ class ConstraintOperator:
             acc[idx] += d_rest * (local @ herm_to_vec(target.matrix) / np.sqrt(d_rest))
         self.target = acc / self.weights
 
-    # -- projections (vector form used in hot loops, matrix form for the API)
+    def coefficients(self, x_mat: np.ndarray) -> np.ndarray:
+        """``Tr(X B_l)`` for every pinned label, over the last two axes."""
+        return _product_coefficients(x_mat, self.dims)[..., self.labels]
 
-    def project_vec(self, x: np.ndarray) -> np.ndarray:
-        return x - (x @ self.rows.T - self.target) @ self.rows
+    def _combination(self, c: np.ndarray) -> np.ndarray:
+        """``sum_l c_l B_l`` over the pinned labels (batchable)."""
+        full = np.zeros(c.shape[:-1] + (self.total_dim ** 2,))
+        full[..., self.labels] = c
+        return _product_combination(full, self.dims)
 
     def project(self, x_mat: np.ndarray) -> np.ndarray:
-        return vec_to_herm(self.project_vec(herm_to_vec(x_mat)), self.total_dim)
+        """Orthogonal projection of Hermitian matrices onto the affine set."""
+        return x_mat - self._combination(self.coefficients(x_mat) - self.target)
 
     def project_kernel(self, g_mat: np.ndarray) -> np.ndarray:
         """Orthogonal projection onto the homogeneous kernel of the map."""
-        g = herm_to_vec(g_mat)
-        g = g - (g @ self.rows.T) @ self.rows
-        return vec_to_herm(g, self.total_dim)
+        return g_mat - self._combination(self.coefficients(g_mat))
+
+    def operators(self) -> np.ndarray:
+        """The pinned product operators, ``(len(labels), T, T)``."""
+        grid = [d * d for d in self.dims]
+        return product_operators(self.dims, np.stack(np.unravel_index(self.labels, grid), 1))
+
+    def weighted_operators(self) -> np.ndarray:
+        """The pinned operators scaled by the square roots of the weights."""
+        return self.operators() * np.sqrt(self.weights)[:, None, None]
+
+    def weighted_residual(self, x_mat: np.ndarray) -> np.ndarray:
+        """``sqrt(w_l) (Tr(X B_l) - target_l)`` per pinned label: its norm is
+        the root sum of squares of every constrained partial trace's
+        Frobenius error and of the trace error."""
+        return np.sqrt(self.weights) * (self.coefficients(x_mat) - self.target)
 
 
 def _labels_within(dims: Sequence[int], subset: Sequence[int]):
@@ -256,15 +287,15 @@ def _constraint_layout(dims: tuple[int, ...], subsets: tuple[tuple[int, ...], ..
     """The part of :class:`ConstraintOperator` that depends only on the shape.
 
     ``subsets`` are normalized subset keys in constraint order. Returns
-    ``(rows, weights, pinned)``: ``rows`` and ``weights`` as on the
-    operator, over the sorted labels, and per subset ``(idx, local,
-    d_rest)``, where ``idx`` places the subset's labels in the sorted list,
-    ``local`` holds the :func:`herm_to_vec` coordinates of the subset's own
-    product operators in the same order (one matrix per distinct subset
-    dims) and ``d_rest`` is the dimension of the subset's complement. Every
-    operator of the shape shares these arrays, so they are read-only.
+    ``(labels, weights, pinned)``: ``labels`` and ``weights`` as on the
+    operator, and per subset ``(idx, local, d_rest)``, where ``idx`` places
+    the subset's labels in ``labels``, ``local`` holds the
+    :func:`herm_to_vec` coordinates of the subset's own product operators in
+    the same order (one matrix per distinct subset dims) and ``d_rest`` is
+    the dimension of the subset's complement. Every operator of the shape
+    shares these arrays, so they are read-only.
     """
-    t = int(np.prod(dims))
+    t = math.prod(dims)
     weights = {(0,) * len(dims): float(t)}
     local_by_dims: dict[tuple[int, ...], np.ndarray] = {}
     terms = []
@@ -273,7 +304,7 @@ def _constraint_layout(dims: tuple[int, ...], subsets: tuple[tuple[int, ...], ..
         if sub_dims not in local_by_dims:
             local_by_dims[sub_dims] = _freeze(herm_to_vec(product_operators(
                 sub_dims, list(_labels_within(sub_dims, range(len(sub_dims)))))))
-        d_rest = t // int(np.prod(sub_dims))
+        d_rest = t // math.prod(sub_dims)
         labels = list(_labels_within(dims, subset))
         for lab in labels:
             weights[lab] = weights.get(lab, 0.0) + d_rest
@@ -282,8 +313,8 @@ def _constraint_layout(dims: tuple[int, ...], subsets: tuple[tuple[int, ...], ..
     index = {lab: i for i, lab in enumerate(order)}
     pinned = tuple((_freeze(np.array([index[lab] for lab in labels])), local, d_rest)
                    for labels, local, d_rest in terms)
-    return (_freeze(herm_to_vec(product_operators(dims, order))),
-            _freeze(np.array([weights[lab] for lab in order])), pinned)
+    flat = np.ravel_multi_index(np.array(order).T, [d * d for d in dims])
+    return (_freeze(flat), _freeze(np.array([weights[lab] for lab in order])), pinned)
 
 
 def constraint_nullspace(signature: PartySignature,
@@ -340,7 +371,7 @@ def _dykstra_batch(starts: np.ndarray, op: ConstraintOperator,
         xa, pa, qa = x[idx], p[idx], q[idx]
         ya = _project_psd_batch(xa + pa)
         pa = xa + pa - ya
-        xa_new = vec_to_herm(op.project_vec(herm_to_vec(ya + qa)), t)
+        xa_new = op.project(ya + qa)
         qa = ya + qa - xa_new
         d1 = ya - xa
         d2 = xa_new - ya
@@ -373,19 +404,48 @@ def _on_parties(local: np.ndarray, dims: Sequence[int],
     n = len(dims)
     rest = [p for p in range(n) if p not in subset]
     order = list(subset) + rest
-    d_rest = int(np.prod([dims[p] for p in rest]))
-    full = np.kron(local, np.eye(d_rest)).reshape([dims[p] for p in order] * 2)
+    d_rest = math.prod(dims[p] for p in rest)
+    # local (x) I, each entry local[i, j] * I[k, l] at ((i, k), (j, l))
+    full = local[:, None, :, None] * np.eye(d_rest)[None, :, None, :]
     back = list(np.argsort(order))
-    t = int(np.prod(dims))
-    return full.transpose(back + [n + i for i in back]).reshape(t, t)
+    t = local.shape[0] * d_rest
+    return full.reshape([dims[p] for p in order] * 2).transpose(
+        back + [n + i for i in back]).reshape(t, t)
 
 
 def _restricted_map(op: ConstraintOperator, basis: np.ndarray) -> np.ndarray:
-    """The marginal map on ``Herm(K)``: ``op.rows`` applied to ``V E V^+``
-    for an orthonormal basis ``E`` of ``Herm(k)`` (``V = basis``, T x k)."""
+    """The marginal map on ``Herm(K)``: the pinned coefficients of
+    ``V E V^+`` for an orthonormal basis ``E`` of ``Herm(k)`` (``V = basis``,
+    T x k), one column per ``E``."""
     k = basis.shape[1]
     lifted = basis @ vec_to_herm(np.eye(k * k), k) @ basis.conj().T
-    return op.rows @ herm_to_vec(lifted).T
+    return op.coefficients(lifted).T
+
+
+def _support_sum(constraints: MarginalConstraintSet) -> tuple[np.ndarray, list[float], float]:
+    """``(H, gaps, eta)``: ``H = sum_S P_S (x) I`` with ``P_S`` the kernel of
+    the marginal on S, cut from its spectrum at ``_GAP_ZERO``; per marginal
+    the smallest eigenvalue read as nonzero; and the sum of the eigenvalues
+    read as zero. The spectra come from one batched ``eigh`` per marginal
+    shape."""
+    signature = constraints.signature
+    targets = [target.matrix for _, target in constraints.constraints]
+    spectra = {}
+    for shape in {m.shape for m in targets}:
+        members = [i for i, m in enumerate(targets) if m.shape == shape]
+        spectra.update(zip(members, zip(*np.linalg.eigh(np.stack([targets[i] for i in members])))))
+    t = signature.total_dim
+    support_sum = np.zeros((t, t), dtype=complex)
+    gaps = []
+    eta = 0.0
+    for i, (subset, _) in enumerate(constraints.constraints):
+        vals, vecs = spectra[i]
+        zero = vals <= _GAP_ZERO
+        gaps.append(float(vals[~zero].min()))
+        eta += float(np.abs(vals[zero]).sum())
+        kernel = vecs[:, zero]
+        support_sum += _on_parties(kernel @ kernel.conj().T, signature.dims, subset)
+    return support_sum, gaps, eta
 
 
 def _face_certificate(constraints: MarginalConstraintSet, op: ConstraintOperator,
@@ -393,9 +453,9 @@ def _face_certificate(constraints: MarginalConstraintSet, op: ConstraintOperator
     """Prove that every state with the prescribed marginals lies within
     trace distance ``tol`` of the reference.
 
-    The kernel ``P_S`` of each marginal is cut from its spectrum at
-    ``_GAP_ZERO``; ``K`` is the kernel of ``H = sum_S P_S (x) I``, cut the
-    same way, with orthonormal basis ``V`` (T x k); the restricted map is
+    ``K`` is the kernel of the support sum ``H = sum_S P_S (x) I`` of
+    :func:`_support_sum`, cut at ``_GAP_ZERO`` like each marginal's kernel
+    ``P_S``, with orthonormal basis ``V`` (T x k); the restricted map is
     :func:`_restricted_map`. Returns ``(holds, gap, V, restricted, clear)``:
     ``restricted`` is that map, None when ``K`` is empty or the whole space;
     ``gap`` is the smallest value compared against ``_GAP_MIN`` (the
@@ -414,17 +474,8 @@ def _face_certificate(constraints: MarginalConstraintSet, op: ConstraintOperator
     distance from the reference is at most
     ``2 sqrt(eta / g) (1 + sqrt(k) / s)``.
     """
-    dims, t = op.dims, op.total_dim
-    gaps = []
-    eta = 0.0
-    support_sum = np.zeros((t, t), dtype=complex)
-    for subset, target in constraints.constraints:
-        vals, vecs = np.linalg.eigh(target.matrix)
-        zero = vals <= _GAP_ZERO
-        gaps.append(float(vals[~zero].min()))
-        eta += float(np.abs(vals[zero]).sum())
-        kernel = vecs[:, zero]
-        support_sum += _on_parties(kernel @ kernel.conj().T, dims, subset)
+    t = op.total_dim
+    support_sum, gaps, eta = _support_sum(constraints)
     vals, vecs = np.linalg.eigh(support_sum)
     zero = vals <= _GAP_ZERO
     g = float(vals[~zero].min()) if not zero.all() else np.inf
@@ -434,7 +485,7 @@ def _face_certificate(constraints: MarginalConstraintSet, op: ConstraintOperator
         return False, 0.0, face, None, False
     restricted = _restricted_map(op, face)
     svals = np.linalg.svd(restricted, compute_uv=False)
-    s = float(svals[-1]) if k * k <= len(op.rows) else 0.0
+    s = float(svals[-1]) if k * k <= len(op.labels) else 0.0
     gap = min(gaps + [g, s])
     clear = min(gaps + [g]) >= _GAP_MIN and \
         bool(np.all((svals <= _GAP_ZERO) | (svals >= _GAP_MIN)))
@@ -449,7 +500,7 @@ def _parent_hamiltonian(psi: np.ndarray, op: ConstraintOperator,
     """Prove uniqueness with a gapped parent Hamiltonian of ``psi``.
 
     ``H = sum_l c_l B_l`` ranges over the traceless operators ``B_l`` that
-    the marginals pin (the rows of ``op`` after the identity, the first of
+    the marginals pin (the labels of ``op`` after the identity, the first of
     the sorted labels), restricted to the null space of
     ``c -> (I - psi psi^+) H psi`` so that ``psi`` is an eigenvector. Any
     state with the prescribed marginals has energy ``e = psi^+ H psi``.
@@ -469,8 +520,7 @@ def _parent_hamiltonian(psi: np.ndarray, op: ConstraintOperator,
     when no candidate exists.
     """
     t = len(psi)
-    rows = op.rows[1:]
-    ops = vec_to_herm(rows, t)
+    ops = op.operators()[1:]
     moved = ops @ psi
     off = moved - np.outer(moved @ psi.conj(), psi)       # (I - psi psi^+) B_l psi
     _, svals, vh = np.linalg.svd(np.concatenate([off.real, off.imag], axis=1).T)
@@ -481,7 +531,7 @@ def _parent_hamiltonian(psi: np.ndarray, op: ConstraintOperator,
     perp = np.linalg.svd(psi.conj()[None, :])[2][1:].conj().T
     basis_perp = perp.conj().T @ basis @ perp
     energy = np.einsum("i,nij,j->n", psi.conj(), basis, psi).real
-    a = -(null @ (rows @ herm_to_vec(np.outer(psi, psi.conj()))))
+    a = -(null @ (herm_to_vec(ops) @ herm_to_vec(np.outer(psi, psi.conj()))))
     a /= np.linalg.norm(a)
     for step in range(_DUAL_STEPS + 1):
         h = np.tensordot(a, basis, axes=1)
@@ -510,9 +560,11 @@ def _parent_hamiltonian(psi: np.ndarray, op: ConstraintOperator,
 class _FaceOperator:
     """The marginal constraints on ``E`` for states ``V E V^+`` on ``K``.
 
-    ``rows``, ``target`` and ``weights`` mean what they mean on
-    :class:`ConstraintOperator`, in the :func:`herm_to_vec` coordinates of
-    the k x k matrix ``E``, so the restart loop runs on it unchanged. The
+    It has the projections and the weighted system of
+    :class:`ConstraintOperator` over the k x k matrices ``E``, so the
+    restarts and the polish run on it unchanged. Its constraints are the
+    rows of ``rows``, orthonormal in the :func:`herm_to_vec` coordinates of
+    ``E``, with ``target`` and ``weights`` as on ``ConstraintOperator``. The
     restricted map (:func:`_restricted_map` of ``op`` on the T x k basis
     ``V``) is scaled by the square roots of the weights and
     factored as ``U S W^T``, keeping the singular values that reach
@@ -520,9 +572,6 @@ class _FaceOperator:
     ``weights = S^2``, so the weighted residual of ``E`` is the one
     ``ConstraintOperator`` measures on ``V E V^+``.
     """
-
-    project_vec = ConstraintOperator.project_vec
-    project_kernel = ConstraintOperator.project_kernel
 
     def __init__(self, op: ConstraintOperator, basis: np.ndarray, restricted: np.ndarray):
         sqrt_w = np.sqrt(op.weights)
@@ -532,6 +581,21 @@ class _FaceOperator:
         self.rows = wt[keep]
         self.target = u[:, keep].T @ (sqrt_w * op.target) / s[keep]
         self.weights = s[keep] ** 2
+
+    def project(self, e_mat: np.ndarray) -> np.ndarray:
+        e = herm_to_vec(e_mat)
+        return vec_to_herm(e - (e @ self.rows.T - self.target) @ self.rows, self.total_dim)
+
+    def project_kernel(self, g_mat: np.ndarray) -> np.ndarray:
+        g = herm_to_vec(g_mat)
+        return vec_to_herm(g - (g @ self.rows.T) @ self.rows, self.total_dim)
+
+    def weighted_operators(self) -> np.ndarray:
+        return vec_to_herm(self.rows * np.sqrt(self.weights)[:, None], self.total_dim)
+
+    def weighted_residual(self, e_mat: np.ndarray) -> np.ndarray:
+        sqrt_w = np.sqrt(self.weights)
+        return (self.rows * sqrt_w[:, None]) @ herm_to_vec(e_mat) - self.target * sqrt_w
 
 
 def _lift(x: np.ndarray, basis: np.ndarray | None) -> np.ndarray:
@@ -546,12 +610,11 @@ def _lift(x: np.ndarray, basis: np.ndarray | None) -> np.ndarray:
 def _gauss_newton_polish(candidate: np.ndarray, op: ConstraintOperator, rank: int):
     """Fit ``W = A A^+`` of the given rank to the affine constraints.
 
-    Up to ``_POLISH_STEPS`` Gauss-Newton steps with backtracking on the residual
-    ``||sqrt(w) (Q vec(W) - c)||`` (``Q = op.rows``, ``c = op.target``,
-    ``w = op.weights``), which is the root sum of squares of every
-    constrained partial trace's Frobenius error and of the trace error.
-    The outcome is PSD by construction, so only the affine residual needs
-    verification. Returns ``(W, residual)``.
+    Up to ``_POLISH_STEPS`` Gauss-Newton steps with backtracking on the norm
+    of ``op.weighted_residual(W)``, which is the root sum of squares of
+    every constrained partial trace's Frobenius error and of the trace
+    error. The outcome is PSD by construction, so only the affine residual
+    needs verification. Returns ``(W, residual)``.
     """
     t = candidate.shape[0]
     rank = max(1, min(rank, t))
@@ -559,13 +622,11 @@ def _gauss_newton_polish(candidate: np.ndarray, op: ConstraintOperator, rank: in
     order = np.argsort(vals)[::-1]
     vals = np.maximum(vals[order][:rank], 0.0)
     a = vecs[:, order[:rank]] * np.sqrt(np.maximum(vals, 1e-30))
-    sqrt_w = np.sqrt(op.weights)
-    q, c = op.rows * sqrt_w[:, None], op.target * sqrt_w
-    ops = vec_to_herm(q, t)
+    ops = op.weighted_operators()
     best_a, best_res = a, np.inf
     for _ in range(_POLISH_STEPS):
         w = a @ a.conj().T
-        f = q @ herm_to_vec(w) - c
+        f = op.weighted_residual(w)
         res = float(np.linalg.norm(f))
         if res < best_res:
             best_a, best_res = a.copy(), res
@@ -574,19 +635,19 @@ def _gauss_newton_polish(candidate: np.ndarray, op: ConstraintOperator, rank: in
         # Row k, direction E = e_i e_j^T (or i times it): the change of
         # Tr(Q_k (E A^+ + A E^+)) is 2 Re (or -2 Im) of (A^+ Q_k)[j, i].
         g = a.conj().T @ ops
-        jac = 2 * np.stack([g.real, -g.imag], axis=-1).reshape(len(q), -1)
+        jac = 2 * np.stack([g.real, -g.imag], axis=-1).reshape(len(ops), -1)
         step, *_ = np.linalg.lstsq(jac, -f, rcond=None)
         da = (step[0::2] + 1j * step[1::2]).reshape(rank, t).T
         scale = 1.0
         for _ in range(20):
             a_try = a + scale * da
             w_try = a_try @ a_try.conj().T
-            if float(np.linalg.norm(q @ herm_to_vec(w_try) - c)) < res:
+            if float(np.linalg.norm(op.weighted_residual(w_try))) < res:
                 break
             scale /= 2
         a = a + scale * da
     w = best_a @ best_a.conj().T
-    return w, float(np.linalg.norm(q @ herm_to_vec(w) - c))
+    return w, float(np.linalg.norm(op.weighted_residual(w)))
 
 
 def _certify(candidate: np.ndarray, op: ConstraintOperator):
@@ -766,7 +827,7 @@ def uniqueness_probe(pure_state: AmplitudeTensor,
     """
     rho = to_density(pure_state)
     signature = pure_state.signature
-    constraints = MarginalConstraintSet.from_state(pure_state, subsets)
+    constraints = MarginalConstraintSet._from_density(rho, subsets)
     uncovered = set(range(signature.n_parties)) - constraints.covered_parties()
     if uncovered:
         return _uncovered_verdict(pure_state, rho, constraints, min(uncovered))
@@ -852,7 +913,9 @@ def _kernel_start(reference: np.ndarray, op: ConstraintOperator,
 def _finish(verdict: str, witnesses: tuple[DensityMatrix, ...],
             op: ConstraintOperator, runs: list[RunRecord], gap: float,
             face_dim: int, certified_by: str | None = None) -> FeasibilityVerdict:
-    residual = max(op.constraints.marginal_residual(w.matrix) for w in witnesses)
+    # The reference's residual is exactly 0: its targets are its own partial traces.
+    residual = max([0.0] + [op.constraints.marginal_residual(w.matrix)
+                            for w in witnesses[1:]])
     pairwise = tuple(
         trace_distance(witnesses[i].matrix, witnesses[j].matrix)
         for i in range(len(witnesses)) for j in range(i + 1, len(witnesses))

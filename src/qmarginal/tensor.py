@@ -14,6 +14,7 @@ Conventions fixed here and relied on by every other module:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -53,11 +54,12 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 def _require_finite(arr: np.ndarray, what: str) -> None:
     """Reject NaN and infinite entries, which every tolerance check lets pass."""
+    if np.isfinite(arr).all():
+        return
     bad = np.argwhere(~np.isfinite(arr))
-    if bad.size:
-        first = tuple(int(i) for i in bad[0])
-        raise ValueError(f"{what} has {len(bad)} non-finite value(s), "
-                         f"first {arr[first]} at index {first}")
+    first = tuple(int(i) for i in bad[0])
+    raise ValueError(f"{what} has {len(bad)} non-finite value(s), "
+                     f"first {arr[first]} at index {first}")
 
 
 @dataclass(frozen=True)
@@ -79,7 +81,7 @@ class PartySignature:
 
     @property
     def total_dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     def subsystem(self, keep: Sequence[int]) -> "PartySignature":
         """Signature of the sub-list of parties in ``keep`` (original order)."""
@@ -215,7 +217,7 @@ def partial_trace_matrix(mat: np.ndarray, dims: Sequence[int], keep: Sequence[in
     col = [n + p if p in keep else p for p in range(n)]
     out = [p for p in keep] + [n + p for p in keep]
     reduced = np.einsum(t, row + col, out)
-    dk = int(np.prod([dims[p] for p in keep]))
+    dk = math.prod(dims[p] for p in keep)
     return reduced.reshape(dk, dk)
 
 
@@ -290,13 +292,59 @@ def product_operators(dims: Sequence[int],
     labels = np.asarray(labels, dtype=int).reshape(-1, len(dims))
     out = np.ones((len(labels), 1, 1), dtype=complex)
     for p, d in enumerate(dims):
-        scale = np.full(d * d, 1 / _SQRT2)
-        scale[0] = 1 / np.sqrt(d)
-        local = (gell_mann_basis(d) * scale[:, None, None])[labels[:, p]]
+        local = _unit_basis(d)[labels[:, p]]
         t = out.shape[-1]
         out = (out[:, :, None, :, None] * local[:, None, :, None, :]).reshape(
             len(labels), t * d, t * d)
     return out
+
+
+@lru_cache(maxsize=None)
+def _unit_basis(d: int) -> np.ndarray:
+    """:func:`gell_mann_basis` scaled to unit Hilbert-Schmidt norm."""
+    scale = np.full(d * d, 1 / _SQRT2)
+    scale[0] = 1 / np.sqrt(d)
+    return _freeze(gell_mann_basis(d) * scale[:, None, None])
+
+
+@lru_cache(maxsize=None)
+def _pair_to_label(d: int) -> np.ndarray:
+    """``M^T`` for the matrix ``M`` below: rows ``i d + j``, columns ``l``."""
+    return _freeze(np.ascontiguousarray(_unit_basis(d).conj().reshape(d * d, d * d).T))
+
+
+# The coefficients Tr(X B_L) of a T x T matrix X over every product-operator
+# label L, and back, one party at a time. X is read as a tensor with one
+# (row, column) index pair per party; party p's pair (i, j) meets its label
+# l through the d^2 x d^2 matrix M[l, i d + j] = conj(b_l[i, j]), b_l the
+# unit-norm basis. Each step contracts one pair into its label, or one label
+# into its pair, and moves the new axis last, so after every party the axes
+# are back in party order. The labels come out flattened row-major, the
+# order of :func:`product_operators` over sorted label tuples.
+
+def _product_coefficients(x: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """``Tr(X B_L)`` for every label ``L``, over the last two axes of ``x``
+    (batchable); the real part, which is all of it for Hermitian ``X``."""
+    n, t = len(dims), x.shape[-1]
+    a = x.reshape((-1,) + dims + dims)
+    a = a.transpose([0] + [q for p in range(n) for q in (1 + p, 1 + n + p)])
+    a = a.reshape(len(a), -1)
+    for d in dims:
+        a = np.matmul(a.reshape(len(a), d * d, -1).transpose(0, 2, 1), _pair_to_label(d))
+    return a.real.reshape(x.shape[:-2] + (t * t,))
+
+
+def _product_combination(c: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """``sum_L c_L B_L`` for real coefficients over every label (batchable):
+    the inverse of :func:`_product_coefficients`."""
+    n, t = len(dims), math.prod(dims)
+    a = c.reshape(-1, t * t)
+    for d in dims:
+        a = np.matmul(a.reshape(len(a), d * d, -1).transpose(0, 2, 1),
+                      _unit_basis(d).reshape(d * d, d * d))
+    a = a.reshape((len(a),) + tuple(k for d in dims for k in (d, d)))
+    a = a.transpose([0] + [1 + 2 * p for p in range(n)] + [2 + 2 * p for p in range(n)])
+    return a.reshape(c.shape[:-1] + (t, t))
 
 
 # ---------------------------------------------------------------------------

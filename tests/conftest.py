@@ -19,7 +19,7 @@ from hypothesis import settings
 
 from qmarginal.claims import ghz_state  # noqa: F401  (re-exported for the tests)
 from qmarginal.tensor import (DensityMatrix, herm_to_vec, partial_trace_matrix, product_operators,
-                              rank_and_nullspace)
+                              rank_and_nullspace, vec_to_herm)
 from qmarginal.uniqueness import (DEFAULT_RANK_RTOL, EliminationStep, RankDeficientBlockError,
                                   TripartiteShape)
 
@@ -96,8 +96,10 @@ def purity(rho: DensityMatrix) -> float:
 
 
 def reference_constraint_fields(constraints):
-    """``rows``, ``target`` and ``weights`` of a ``ConstraintOperator``,
-    built label by label from the constraints alone, with no shared layout."""
+    """The pinned labels of a ``ConstraintOperator`` as sorted label tuples,
+    the :func:`herm_to_vec` coordinates of their operators (one row each),
+    and its ``target`` and ``weights``, built label by label from the
+    constraints alone, with no shared layout."""
     dims = constraints.signature.dims
     t = constraints.signature.total_dim
     # label -> [sum of weight * value, sum of weights]
@@ -116,7 +118,35 @@ def reference_constraint_fields(constraints):
     rows = herm_to_vec(product_operators(dims, labels))
     target = np.array([sums[lab][0] / sums[lab][1] for lab in labels])
     weights = np.array([sums[lab][1] for lab in labels])
-    return rows, target, weights
+    return labels, rows, target, weights
+
+
+class DenseConstraintOperator:
+    """The constraint map through the dense matrix of pinned rows, one
+    T^2-column row per pinned operator: the reference that the library's
+    party-by-party transform is held to."""
+
+    def __init__(self, constraints):
+        _, self.rows, self.target, self.weights = reference_constraint_fields(constraints)
+        self.total_dim = constraints.signature.total_dim
+
+    def coefficients(self, x):
+        return herm_to_vec(x) @ self.rows.T
+
+    def project(self, x):
+        v = herm_to_vec(x)
+        return vec_to_herm(v - (v @ self.rows.T - self.target) @ self.rows, self.total_dim)
+
+    def project_kernel(self, g):
+        v = herm_to_vec(g)
+        return vec_to_herm(v - (v @ self.rows.T) @ self.rows, self.total_dim)
+
+    def restricted_map(self, basis):
+        """The rows applied to ``V E V^+`` for an orthonormal basis ``E`` of
+        ``Herm(k)``, ``V = basis`` (T x k)."""
+        k = basis.shape[1]
+        lifted = basis @ vec_to_herm(np.eye(k * k), k) @ basis.conj().T
+        return self.rows @ herm_to_vec(lifted).T
 
 
 def column_of(shape, kind: str, a: int, b: int) -> int:

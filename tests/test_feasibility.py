@@ -1,10 +1,11 @@
 import dataclasses
 import itertools
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qmarginal import feasibility
@@ -24,6 +25,8 @@ from qmarginal.feasibility import (
     _face_certificate,
     _on_parties,
     _parent_hamiltonian,
+    _restricted_map,
+    _support_sum,
     constraint_nullspace,
     genericity_survey,
     project_psd,
@@ -41,8 +44,9 @@ from qmarginal.tensor import (
 )
 from qmarginal.uniqueness import UNIQUE_LINEAR, check_linear_uniqueness
 
-from conftest import (PAULI, ghz_state, haar_unitary, kron_all, random_density,
-                      random_hermitian, reference_constraint_fields, slow_partial_trace)
+from conftest import (PAULI, DenseConstraintOperator, ghz_state, haar_unitary, kron_all,
+                      random_density, random_hermitian, reference_constraint_fields,
+                      slow_partial_trace)
 
 PAIRS3 = [(0, 1), (0, 2), (1, 2)]
 PAIRS4 = list(itertools.combinations(range(4), 2))
@@ -107,11 +111,12 @@ class TestConstraintNullspace:
         basis = constraint_nullspace(PartySignature(dims), subsets)
         expected = bloch_kernel_count(len(dims), dims[0], subsets)
         assert basis.shape[0] == expected
-        # The pinned rows are the rest of an orthonormal basis.
-        op = ConstraintOperator(MarginalConstraintSet.from_state(haar(dims, 45), subsets))
+        # The pinned operators are the rest of an orthonormal basis.
+        cs = MarginalConstraintSet.from_state(haar(dims, 45), subsets)
         t = int(np.prod(dims))
-        assert op.rows.shape == (t * t - expected, t * t)
-        assert np.abs(op.rows @ op.rows.T - np.eye(len(op.rows))).max() < 1e-13
+        assert len(ConstraintOperator(cs).labels) == t * t - expected
+        rows = DenseConstraintOperator(cs).rows
+        assert np.abs(rows @ rows.T - np.eye(len(rows))).max() < 1e-13
 
     @pytest.mark.parametrize("subsets", [[(7,)], [()], [(0, 0)]])
     def test_invalid_subset_rejected(self, subsets):
@@ -510,8 +515,9 @@ class TestConstraintLayout:
         for seed in (10, 20):       # a cold layout, then the cached one
             cs = mixed_constraints(dims, subsets, seed)
             op = ConstraintOperator(cs)
-            rows, target, weights = reference_constraint_fields(cs)
-            assert np.array_equal(op.rows, rows)
+            labels, _, target, weights = reference_constraint_fields(cs)
+            grid = [d * d for d in dims]
+            assert list(zip(*np.unravel_index(op.labels, grid))) == labels
             assert np.array_equal(op.target, target)
             assert np.array_equal(op.weights, weights)
 
@@ -534,11 +540,120 @@ class TestConstraintLayout:
     def test_shared_layout_is_read_only(self):
         op = ConstraintOperator(mixed_constraints((2, 2, 2), PAIRS3, 1))
         other = ConstraintOperator(mixed_constraints((2, 2, 2), PAIRS3, 2))
-        assert other.rows is op.rows and other.weights is op.weights
+        assert other.labels is op.labels and other.weights is op.weights
         with pytest.raises(ValueError):
-            op.rows[0, 0] = 1.0
+            op.labels[0] = 1
         with pytest.raises(ValueError):
             op.weights[0] = 1.0
+
+
+PARITY_CASES = {**LAYOUT_CASES,
+                "333 pairs": ((3, 3, 3), PAIRS3),
+                "234 AB/BC": ((2, 3, 4), [(0, 1), (1, 2)])}
+
+
+def unit_hermitian(np_rng, t, batch=()):
+    """Hermitian matrices of unit Frobenius norm."""
+    x = np.stack([random_hermitian(np_rng, t) for _ in range(int(np.prod(batch)))])
+    x /= np.linalg.norm(x, axis=(1, 2))[:, None, None]
+    return x.reshape(tuple(batch) + (t, t))
+
+
+def assert_matches_dense_reference(cs, np_rng):
+    """Projection, kernel projection, pinned coefficients and restricted map
+    of the party-by-party transform agree with the dense rows."""
+    op, ref = ConstraintOperator(cs), DenseConstraintOperator(cs)
+    t = op.total_dim
+    x = unit_hermitian(np_rng, t)
+    xs = unit_hermitian(np_rng, t, (3,))
+    assert np.abs(op.project(x) - ref.project(x)).max() < 1e-13
+    assert np.abs(op.project(xs) - ref.project(xs)).max() < 1e-13
+    assert np.abs(op.project_kernel(x) - ref.project_kernel(x)).max() < 1e-13
+    assert np.abs(op.coefficients(xs) - ref.coefficients(xs)).max() < 1e-13
+    k = min(3, t)
+    basis, _ = np.linalg.qr(np_rng.standard_normal((t, k)) + 1j * np_rng.standard_normal((t, k)))
+    assert np.abs(_restricted_map(op, basis) - ref.restricted_map(basis)).max() < 1e-13
+
+
+class TestTransformParity:
+    @pytest.mark.parametrize("dims, subsets", PARITY_CASES.values(), ids=PARITY_CASES)
+    def test_matches_the_dense_rows(self, dims, subsets, np_rng):
+        assert_matches_dense_reference(mixed_constraints(dims, subsets, 30), np_rng)
+
+    @settings(max_examples=25)
+    @given(st.data())
+    def test_matches_the_dense_rows_on_random_shapes(self, data):
+        dims = tuple(data.draw(st.lists(st.sampled_from([2, 3]), min_size=1, max_size=4)))
+        parties = st.sets(st.integers(0, len(dims) - 1), min_size=1)
+        subsets = [sorted(s) for s in data.draw(st.lists(parties, min_size=1, max_size=3))]
+        seed = data.draw(st.integers(0, 1000))
+        cs = mixed_constraints(dims, subsets, seed)
+        t = int(np.prod(dims))
+        # Keep the dense reference, T^2 complex entries per pinned label, small.
+        assume(len(ConstraintOperator(cs).labels) * t * t <= 2_000_000)
+        assert_matches_dense_reference(cs, np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("dims, subsets, seed", [
+        ((2, 2, 2), PAIRS3, 70), ((4, 2, 2), ABAC, 73), ((2,) * 5, TRIPLES5, 75),
+        ((2,) * 4, PAIRS4, 80), ((3, 3, 2), [(0, 1), (1, 2)], 81)])
+    def test_support_sum_equals_the_kron_build(self, dims, subsets, seed):
+        # One eigh per marginal, and P_S (x) I by np.kron, bit for bit.
+        cs = MarginalConstraintSet.from_state(haar(dims, seed), subsets)
+        t = int(np.prod(dims))
+        want, gaps, eta = np.zeros((t, t), dtype=complex), [], 0.0
+        for subset, target in cs.constraints:
+            vals, vecs = np.linalg.eigh(target.matrix)
+            zero = vals <= _GAP_ZERO
+            gaps.append(float(vals[~zero].min()))
+            eta += float(np.abs(vals[zero]).sum())
+            kernel = vecs[:, zero]
+            want += kron_on_parties(kernel @ kernel.conj().T, dims, subset)
+        got = _support_sum(cs)
+        assert np.array_equal(got[0], want)
+        assert got[1:] == (gaps, eta)
+
+
+def kron_on_parties(local, dims, subset):
+    """``local`` on ``subset`` and the identity elsewhere, by ``np.kron``."""
+    n = len(dims)
+    rest = [p for p in range(n) if p not in subset]
+    order = list(subset) + rest
+    full = np.kron(local, np.eye(int(np.prod([dims[p] for p in rest]))))
+    back = list(np.argsort(order))
+    t = int(np.prod(dims))
+    return full.reshape([dims[p] for p in order] * 2).transpose(
+        back + [n + i for i in back]).reshape(t, t)
+
+
+SEVEN_QUBIT_HALVES = [(0, 1, 2, 3, 4), (0, 1, 2, 5, 6)]
+
+
+class TestRowsFree:
+    def test_warm_probes_build_no_product_operators(self, monkeypatch):
+        triples, ghz = haar((2,) * 5, 75), ghz_state(3)
+        for state, subsets in ((triples, TRIPLES5), (ghz, PAIRS3)):
+            ConstraintOperator(MarginalConstraintSet.from_state(state, subsets))
+
+        def refuse(*args):
+            raise AssertionError("product_operators called")
+
+        monkeypatch.setattr(feasibility, "product_operators", refuse)
+        assert uniqueness_probe(triples, TRIPLES5, rng=SeededRng(1)).decided_by == "certificate"
+        verdict = uniqueness_probe(ghz, PAIRS3, rng=SeededRng(1))
+        assert verdict.verdict == NON_UNIQUE and verdict.face_dim == 2
+
+    def test_seven_qubit_certified_probe_stays_small(self):
+        # A dense matrix of the 1984 pinned rows alone would take 260 MB.
+        feasibility._constraint_layout.cache_clear()
+        state = haar((2,) * 7, 1)
+        tracemalloc.start()
+        try:
+            verdict = uniqueness_probe(state, SEVEN_QUBIT_HALVES, rng=SeededRng(1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert verdict.verdict == UNIQUE and verdict.decided_by == "certificate"
+        assert peak < 100 * 2 ** 20
 
 
 @pytest.fixture
