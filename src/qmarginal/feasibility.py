@@ -60,13 +60,14 @@ from .tensor import (
     DensityMatrix,
     PartySignature,
     SeededRng,
+    _check_density,
     _freeze,
+    _partial_trace,
     _product_coefficients,
     _product_combination,
     _validate_subset,
     haar_random_state,
     herm_to_vec,
-    partial_trace_matrix,
     product_operators,
     to_density,
     trace_distance,
@@ -128,23 +129,33 @@ _LAYOUT_CACHE_SIZE = 8
 
 @dataclass(frozen=True)
 class MarginalConstraintSet:
-    """Affine constraints: one target reduced state per party subset."""
+    """Affine constraints: one target reduced state per party subset.
+
+    Each subset key is validated once, on the way in. The targets are also
+    kept stacked by shape, with their spectra (``_stacks``, from
+    :func:`_stacks_by_shape`): one ``eigh`` per shape, read by the face
+    certificate's support sum. A set built from a state
+    (:meth:`from_state`) traces each marginal once and runs the checks of
+    :class:`DensityMatrix` on each stack, reading those eigenvalues, rather
+    than one ``eigvalsh`` per marginal.
+    """
 
     signature: PartySignature
     constraints: tuple[tuple[tuple[int, ...], DensityMatrix], ...]
 
     def __init__(self, signature: PartySignature,
                  constraints: Sequence[tuple[Sequence[int], DensityMatrix]]):
-        object.__setattr__(self, "signature", signature)
-        normalized = []
+        keys, targets = [], []
         for subset, target in constraints:
             key = _validate_subset(subset, signature.n_parties)
-            if target.signature != signature.subsystem(key):
+            if target.dims != tuple(signature.dims[p] for p in key):
                 raise ValueError(
-                    f"target signature {target.signature.dims} does not match subset {key}"
+                    f"target signature {target.dims} does not match subset {key}"
                 )
-            normalized.append((key, target))
-        object.__setattr__(self, "constraints", tuple(normalized))
+            keys.append(key)
+            targets.append(target)
+        self._fill(signature, keys, targets,
+                   _stacks_by_shape([target.matrix for target in targets]))
 
     @classmethod
     def from_state(cls, state: AmplitudeTensor,
@@ -157,12 +168,23 @@ class MarginalConstraintSet:
                       subsets: Sequence[Sequence[int]]) -> "MarginalConstraintSet":
         """Constraints whose targets are the reduced states of ``rho``."""
         signature = rho.signature
-        cons = []
-        for subset in subsets:
-            key = _validate_subset(subset, signature.n_parties)
-            reduced = partial_trace_matrix(rho.matrix, signature.dims, key)
-            cons.append((key, DensityMatrix(signature.subsystem(key), reduced)))
-        return cls(signature, cons)
+        dims = signature.dims
+        keys = [_validate_subset(subset, signature.n_parties) for subset in subsets]
+        stacks = _stacks_by_shape([_partial_trace(rho.matrix, dims, key) for key in keys])
+        targets = [None] * len(keys)
+        for members, stack, vals, _ in stacks:
+            _check_density(stack, vals)
+            for j, i in enumerate(members):
+                targets[i] = DensityMatrix._checked(
+                    PartySignature(dims[p] for p in keys[i]), stack[j])
+        self = cls.__new__(cls)
+        self._fill(signature, keys, targets, stacks)
+        return self
+
+    def _fill(self, signature, keys, targets, stacks):
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "constraints", tuple(zip(keys, targets)))
+        object.__setattr__(self, "_stacks", stacks)
 
     def covered_parties(self) -> set[int]:
         return set(p for s, _ in self.constraints for p in s)
@@ -171,9 +193,22 @@ class MarginalConstraintSet:
         """Max Frobenius distance of constrained partial traces from targets."""
         worst = 0.0
         for subset, target in self.constraints:
-            diff = partial_trace_matrix(x_mat, self.signature.dims, subset) - target.matrix
+            diff = _partial_trace(x_mat, self.signature.dims, subset) - target.matrix
             worst = max(worst, float(np.linalg.norm(diff)))
         return worst
+
+
+def _stacks_by_shape(matrices: Sequence[np.ndarray]):
+    """Per distinct matrix shape ``(members, stack, vals, vecs)``: the
+    indices of the matrices of that shape, in order, the read-only stack of
+    them and its ``np.linalg.eigh``."""
+    stacks = []
+    for shape in dict.fromkeys(m.shape for m in matrices):
+        members = tuple(i for i, m in enumerate(matrices) if m.shape == shape)
+        stack = _freeze(np.stack([matrices[i] for i in members]))
+        vals, vecs = np.linalg.eigh(stack)
+        stacks.append((members, stack, vals, vecs))
+    return tuple(stacks)
 
 
 @dataclass(frozen=True)
@@ -237,9 +272,13 @@ class ConstraintOperator:
         # 1/sqrt(T), on the identity label, which sorts first.
         acc = np.zeros(len(self.weights))
         acc[0] = np.sqrt(t)
-        for (idx, local, d_rest), (_, target) in zip(pinned, constraints.constraints):
+        vecs = [None] * len(pinned)
+        for members, stack, _, _ in constraints._stacks:
+            for i, v in zip(members, herm_to_vec(stack)):
+                vecs[i] = v
+        for (idx, local, d_rest), v in zip(pinned, vecs):
             # Tr(X (B_S x I/sqrt(d_rest))) = Tr(X_S B_S) / sqrt(d_rest)
-            acc[idx] += d_rest * (local @ herm_to_vec(target.matrix) / np.sqrt(d_rest))
+            acc[idx] += d_rest * (local @ v / np.sqrt(d_rest))
         self.target = acc / self.weights
 
     def coefficients(self, x_mat: np.ndarray) -> np.ndarray:
@@ -398,19 +437,24 @@ def _dykstra_batch(starts: np.ndarray, op: ConstraintOperator,
 # Face certificate
 # ---------------------------------------------------------------------------
 
-def _on_parties(local: np.ndarray, dims: Sequence[int],
-                subset: Sequence[int]) -> np.ndarray:
-    """``local`` acting on the parties in ``subset``, identity on the rest."""
-    n = len(dims)
-    rest = [p for p in range(n) if p not in subset]
-    order = list(subset) + rest
-    d_rest = math.prod(dims[p] for p in rest)
-    # local (x) I, each entry local[i, j] * I[k, l] at ((i, k), (j, l))
-    full = local[:, None, :, None] * np.eye(d_rest)[None, :, None, :]
-    back = list(np.argsort(order))
-    t = local.shape[0] * d_rest
-    return full.reshape([dims[p] for p in order] * 2).transpose(
-        back + [n + i for i in back]).reshape(t, t)
+def _add_on_parties(out: np.ndarray, local: np.ndarray, dims: Sequence[int],
+                    subset: Sequence[int]) -> None:
+    """``out += local (x) I``: ``local`` on the parties in ``subset``, the
+    identity on the rest, for a C-contiguous T x T ``out``.
+
+    The identity's zeros change no entry, so only the others are written:
+    through a view of ``out`` with one row and one column axis per party in
+    ``subset`` and one axis per other party that steps along the diagonal
+    where its row and column digits agree.
+    """
+    t = out.shape[0]
+    step = [math.prod(dims[p + 1:]) * out.itemsize for p in range(len(dims))]
+    rest = [p for p in range(len(dims)) if p not in subset]
+    sub = [dims[p] for p in subset]
+    view = np.ndarray(sub * 2 + [dims[p] for p in rest], out.dtype, out,
+                      strides=[t * step[p] for p in subset] + [step[p] for p in subset]
+                      + [(t + 1) * step[p] for p in rest])
+    view += local.reshape(sub * 2 + [1] * len(rest))
 
 
 def _restricted_map(op: ConstraintOperator, basis: np.ndarray) -> np.ndarray:
@@ -426,25 +470,30 @@ def _support_sum(constraints: MarginalConstraintSet) -> tuple[np.ndarray, list[f
     """``(H, gaps, eta)``: ``H = sum_S P_S (x) I`` with ``P_S`` the kernel of
     the marginal on S, cut from its spectrum at ``_GAP_ZERO``; per marginal
     the smallest eigenvalue read as nonzero; and the sum of the eigenvalues
-    read as zero. The spectra come from one batched ``eigh`` per marginal
-    shape."""
+    read as zero. The spectra are the ones the constraint set took, one
+    ``eigh`` per marginal shape. Ascending, they put the kernel first, so
+    the projectors of the marginals of one shape and kernel dimension come
+    from one batched product; each is then added to ``H`` in subset order.
+    """
     signature = constraints.signature
-    targets = [target.matrix for _, target in constraints.constraints]
-    spectra = {}
-    for shape in {m.shape for m in targets}:
-        members = [i for i, m in enumerate(targets) if m.shape == shape]
-        spectra.update(zip(members, zip(*np.linalg.eigh(np.stack([targets[i] for i in members])))))
+    spectra = [None] * len(constraints.constraints)
+    for members, _, vals, vecs in constraints._stacks:
+        zeros = np.sum(vals <= _GAP_ZERO, axis=-1)
+        for k in dict.fromkeys(zeros.tolist()):
+            same = np.flatnonzero(zeros == k)
+            kernels = np.ascontiguousarray(vecs[same, :, :k])
+            projectors = kernels @ np.swapaxes(kernels.conj(), -2, -1)
+            for j, projector in zip(same, projectors):
+                spectra[members[j]] = (vals[j], k, projector)
     t = signature.total_dim
     support_sum = np.zeros((t, t), dtype=complex)
     gaps = []
     eta = 0.0
-    for i, (subset, _) in enumerate(constraints.constraints):
-        vals, vecs = spectra[i]
-        zero = vals <= _GAP_ZERO
-        gaps.append(float(vals[~zero].min()))
-        eta += float(np.abs(vals[zero]).sum())
-        kernel = vecs[:, zero]
-        support_sum += _on_parties(kernel @ kernel.conj().T, signature.dims, subset)
+    for (subset, _), (vals, k, projector) in zip(constraints.constraints, spectra):
+        gaps.append(float(vals[k:].min()))
+        eta += float(np.abs(vals[:k]).sum())
+        if k:
+            _add_on_parties(support_sum, projector, signature.dims, subset)
     return support_sum, gaps, eta
 
 

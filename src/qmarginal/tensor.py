@@ -40,9 +40,12 @@ __all__ = [
 ]
 
 HERMITICITY_ATOL = 1e-12
-TRACE_ATOL = 1e-12
 PSD_ATOL = 1e-10
 NORM_ATOL = 1e-12
+# Tr(psi psi^+) = ||psi||^2, so a state within NORM_ATOL of unit norm gives a
+# density matrix, and marginals, within 2 NORM_ATOL + NORM_ATOL^2 of unit
+# trace; the third NORM_ATOL is room for the rounding of the sums.
+TRACE_ATOL = 3 * NORM_ATOL
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -158,21 +161,38 @@ class DensityMatrix:
         t = self.signature.total_dim
         if mat.shape != (t, t):
             raise ValueError(f"matrix shape {mat.shape} does not match total dimension {t}")
-        _require_finite(mat, "density matrix")
-        herm_err = np.abs(mat - mat.conj().T).max()
-        if herm_err > HERMITICITY_ATOL:
-            raise ValueError(f"matrix is not Hermitian (max deviation {herm_err:.3e})")
-        tr = np.trace(mat)
-        if abs(tr - 1.0) > TRACE_ATOL:
-            raise ValueError(f"trace {tr!r} is not 1 within {TRACE_ATOL}")
-        min_eig = float(np.linalg.eigvalsh(mat)[0])
-        if min_eig < -PSD_ATOL:
-            raise ValueError(f"matrix has negative eigenvalue {min_eig:.3e}")
+        _check_density(mat, np.linalg.eigvalsh(mat))
         object.__setattr__(self, "matrix", _freeze(mat))
+
+    @classmethod
+    def _checked(cls, signature: PartySignature, matrix: np.ndarray) -> "DensityMatrix":
+        """A density matrix whose complex, contiguous ``matrix`` already
+        passed :func:`_check_density`; the checks do not run again."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "matrix", _freeze(matrix))
+        return self
 
     @property
     def dims(self) -> tuple[int, ...]:
         return self.signature.dims
+
+
+def _check_density(mats: np.ndarray, eigvals: np.ndarray) -> None:
+    """The checks of :class:`DensityMatrix` on a matrix or a stack of them,
+    given their ascending eigenvalues: finite, Hermitian, unit trace, and
+    no eigenvalue below ``-PSD_ATOL``."""
+    _require_finite(mats, "density matrix")
+    herm_err = np.abs(mats - np.swapaxes(mats.conj(), -2, -1)).max()
+    if herm_err > HERMITICITY_ATOL:
+        raise ValueError(f"matrix is not Hermitian (max deviation {herm_err:.3e})")
+    tr = np.ravel(np.trace(mats, axis1=-2, axis2=-1))
+    off = np.abs(tr - 1.0)
+    if off.max() > TRACE_ATOL:
+        raise ValueError(f"trace {tr[np.argmax(off)]!r} is not 1 within {TRACE_ATOL}")
+    min_eig = float(eigvals[..., 0].min())
+    if min_eig < -PSD_ATOL:
+        raise ValueError(f"matrix has negative eigenvalue {min_eig:.3e}")
 
 
 def haar_random_state(signature: PartySignature, rng: SeededRng) -> AmplitudeTensor:
@@ -210,8 +230,13 @@ def partial_trace_matrix(mat: np.ndarray, dims: Sequence[int], keep: Sequence[in
     trace-preserving. ``keep`` is returned in ascending party order.
     """
     dims = tuple(int(d) for d in dims)
+    return _partial_trace(mat, dims, _validate_subset(keep, len(dims)))
+
+
+def _partial_trace(mat: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:
+    """:func:`partial_trace_matrix` for integer ``dims`` and a ``keep``
+    that :func:`_validate_subset` already returned."""
     n = len(dims)
-    keep = _validate_subset(keep, n)
     t = np.asarray(mat, dtype=complex).reshape(dims + dims)
     row = list(range(n))
     col = [n + p if p in keep else p for p in range(n)]

@@ -172,6 +172,48 @@ class TestCheck:
         assert code in (EXIT_OK, EXIT_NEGATIVE)
 
 
+def write_state(path, vec, dims):
+    path.write_text(json.dumps({"schema": "qmarginal/state-v1", "dims": list(dims),
+                                "amplitudes": [[z.real, z.imag] for z in vec]}))
+
+
+def boundary_vector(kind, norm):
+    """``|000>`` or a Haar 3-qubit state, scaled to the given norm."""
+    if kind == "basis":
+        vec = np.zeros(8, dtype=complex)
+        vec[0] = 1.0
+    else:
+        vec = haar_random_state(PartySignature([2, 2, 2]), SeededRng(5)).vector()
+    return vec * norm
+
+
+class TestNormBoundary:
+    """Tr(psi psi^+) = ||psi||^2: every state that the norm check accepts
+    gets a verdict from both modes, and one it refuses is refused with the
+    norm message, never with the trace message of the density matrix."""
+
+    @pytest.mark.parametrize("mode", ["oracle", "linear"])
+    @pytest.mark.parametrize("kind", ["basis", "haar"])
+    @pytest.mark.parametrize("norm", [1 + 0.9e-12, 1 - 0.9e-12], ids=["above", "below"])
+    def test_accepted_state_gets_a_verdict(self, mode, kind, norm, tmp_path, capsys):
+        fixture, out = tmp_path / "state.json", tmp_path / "report.json"
+        write_state(fixture, boundary_vector(kind, norm), [2, 2, 2])
+        code = main(["check", "--state", str(fixture), "--mode", mode,
+                     "--subsets", "01,02,12", "--seed", "1", "--out", str(out)])
+        assert code != EXIT_USAGE, capsys.readouterr().err
+        assert load_json(out)["results"][mode]["verdict"]
+
+    @pytest.mark.parametrize("mode", ["oracle", "linear"])
+    def test_state_just_outside_is_refused_by_the_norm_check(self, mode, tmp_path, capsys):
+        fixture = tmp_path / "state.json"
+        write_state(fixture, boundary_vector("basis", 1 + 1.1e-12), [2, 2, 2])
+        code = main(["check", "--state", str(fixture), "--mode", mode,
+                     "--subsets", "01,02,12", "--seed", "1"])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: state norm") and "trace" not in err
+
+
 class TestWitnessFactors:
     @pytest.mark.parametrize("state,subsets", [
         (lambda: ghz_state(3), "01,02,12"),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qmarginal import feasibility
+from qmarginal import feasibility, tensor
 from qmarginal.feasibility import (
     _DISTINCTNESS_TOL,
     _GAP_MIN,
@@ -20,10 +20,10 @@ from qmarginal.feasibility import (
     ConstraintOperator,
     MarginalConstraintSet,
     ProjectionConfig,
+    _add_on_parties,
     _dykstra_batch,
     _exit_parameter,
     _face_certificate,
-    _on_parties,
     _parent_hamiltonian,
     _restricted_map,
     _support_sum,
@@ -33,6 +33,7 @@ from qmarginal.feasibility import (
     uniqueness_probe,
 )
 from qmarginal.tensor import (
+    PSD_ATOL,
     AmplitudeTensor,
     DensityMatrix,
     PartySignature,
@@ -656,6 +657,75 @@ class TestRowsFree:
         assert peak < 100 * 2 ** 20
 
 
+class TestOnePass:
+    def test_certified_probe_checks_and_decomposes_each_marginal_once(self, monkeypatch):
+        state = haar((2,) * 5, 75)
+        uniqueness_probe(state, TRIPLES5, rng=SeededRng(1))        # warm the layout
+        calls = {}
+
+        def count(owner, name):
+            real = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+
+        count(tensor, "_validate_subset")
+        count(feasibility, "_validate_subset")
+        count(DensityMatrix, "__post_init__")
+        count(np.linalg, "eigh")
+        count(np.linalg, "eigvalsh")
+        verdict = uniqueness_probe(state, TRIPLES5, rng=SeededRng(1))
+        assert verdict.decided_by == "certificate"
+        # One validation per key, one validating constructor (rho's), one
+        # eigh each for the marginal stack, the support sum and the PSD step
+        # of the cross-check, and one eigvalsh each for rho's check and the
+        # run's distance.
+        assert calls == {"_validate_subset": len(TRIPLES5), "__post_init__": 1,
+                         "eigh": 3, "eigvalsh": 2}
+
+    @settings(max_examples=40)
+    @given(st.data())
+    def test_batched_marginals_equal_the_one_by_one_build(self, data):
+        dims = tuple(data.draw(st.lists(st.sampled_from([2, 3]), min_size=1, max_size=4)))
+        party = st.integers(0, len(dims) - 1)
+        # Unsorted keys, and the same subset more than once.
+        subsets = data.draw(st.lists(st.lists(party, min_size=1, max_size=len(dims),
+                                              unique=True), min_size=1, max_size=4))
+        subsets += data.draw(st.lists(st.sampled_from(subsets), max_size=2))
+        state = haar(dims, data.draw(st.integers(0, 1000)))
+        rho = to_density(state)
+        cs = MarginalConstraintSet._from_density(rho, subsets)
+        assert [key for key, _ in cs.constraints] == [tuple(sorted(s)) for s in subsets]
+        for subset, target in cs.constraints:
+            assert np.array_equal(target.matrix,
+                                  partial_trace_matrix(rho.matrix, dims, subset))
+        for members, stack, vals, vecs in cs._stacks:
+            want = np.linalg.eigh(np.stack([cs.constraints[i][1].matrix for i in members]))
+            assert np.array_equal(vals, want[0]) and np.array_equal(vecs, want[1])
+        assert sorted(i for members, *_ in cs._stacks for i in members) == \
+            list(range(len(subsets)))
+
+    @settings(max_examples=20)
+    @given(st.data())
+    def test_negative_marginal_is_refused(self, data):
+        # rho's eigenvalues reach down to -0.9 PSD_ATOL, which its own check
+        # allows; a marginal sums d_rest >= 2 of them on its first diagonal
+        # entry, below -PSD_ATOL.
+        dims = tuple(data.draw(st.lists(st.sampled_from([2, 3]), min_size=2, max_size=4)))
+        n = len(dims)
+        subset = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n - 1,
+                                    unique=True))
+        diag = np.zeros(dims)
+        first = tuple(0 if p in subset else slice(None) for p in range(n))
+        diag[first] = -0.9 * PSD_ATOL
+        diag[(1,) * n] = 1 - diag.sum()
+        rho = DensityMatrix(PartySignature(dims), np.diag(diag.reshape(-1)).astype(complex))
+        with pytest.raises(ValueError, match="matrix has negative eigenvalue"):
+            MarginalConstraintSet._from_density(rho, [subset])
+
+
 @pytest.fixture
 def dykstra_starts(monkeypatch):
     """The starting points of every ``_dykstra_batch`` call, one array per call."""
@@ -901,10 +971,12 @@ def ambiguous_state(eps=1e-6):
 class TestFaceCertificate:
     def test_on_parties_matches_kron(self, np_rng):
         x, z = PAULI[1], PAULI[3]
-        got = _on_parties(np.kron(x, z), (2, 2, 2), (0, 2))
+        got = np.zeros((8, 8), dtype=complex)
+        _add_on_parties(got, np.kron(x, z), (2, 2, 2), (0, 2))
         assert np.array_equal(got, kron_all([x, np.eye(2), z]))
         h = random_hermitian(np_rng, 3)
-        got = _on_parties(np.kron(h, z), (3, 2, 2), (0, 2))
+        got = np.zeros((12, 12), dtype=complex)
+        _add_on_parties(got, np.kron(h, z), (3, 2, 2), (0, 2))
         assert np.array_equal(got, kron_all([h, np.eye(2), z]))
 
     @pytest.mark.parametrize("dims,subsets,seed", [
