@@ -4,9 +4,10 @@ JSON/CSV reports.
 Subcommands: sample, check, survey, bounds, classical, reproduce.
 Exit codes are a stable contract: 0 success / positive finding, 1 usage
 error, 2 negative finding (NON_UNIQUE, DEGENERATE, rejected input),
-3 inconclusive, 4 internal error (a numerical routine failed). Reports
-echo the fully resolved configuration and keep all wall-clock data under
-the "timings" key so that payloads are byte-stable for a fixed seed.
+3 inconclusive, 4 internal error (a numerical routine failed, or memory
+ran out). Reports echo the fully resolved configuration and keep all
+wall-clock data under the "timings" key so that payloads are byte-stable
+for a fixed seed.
 """
 
 from __future__ import annotations
@@ -504,6 +505,10 @@ def main(argv=None) -> int:
         # LinAlgError subclasses ValueError: a failed numerical routine is
         # the program's fault, not the caller's.
         print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except MemoryError as exc:
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"internal error: out of memory{detail}", file=sys.stderr)
         return EXIT_INTERNAL
     except (ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

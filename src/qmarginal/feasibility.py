@@ -65,14 +65,13 @@ from .tensor import (
     _partial_trace,
     _product_coefficients,
     _product_combination,
+    _unit_basis,
     _validate_subset,
     haar_random_state,
-    herm_to_vec,
     product_operators,
     to_density,
     trace_distance,
     trace_norm,
-    vec_to_herm,
 )
 
 __all__ = [
@@ -123,7 +122,8 @@ _DUAL_STEPS = 60
 _POLISH_STEPS = 30
 _PURSUIT_ROUNDS = 40
 # Shapes (dims and subsets) whose constraint layout stays cached. A layout
-# holds d_S^4 floats per distinct subset shape: 8 MB for a 5-qubit subset.
+# holds an integer and a float per pinned label and an integer per subset
+# label: 0.75 MB for two 7-qubit subsets of 10 qubits (32512 labels).
 _LAYOUT_CACHE_SIZE = 8
 
 
@@ -132,9 +132,11 @@ class MarginalConstraintSet:
     """Affine constraints: one target reduced state per party subset.
 
     Each subset key is validated once, on the way in. The targets are also
-    kept stacked by shape, with their spectra (``_stacks``, from
-    :func:`_stacks_by_shape`): one ``eigh`` per shape, read by the face
-    certificate's support sum. A set built from a state
+    kept stacked by the local dimensions of their parties, with their
+    spectra (``_stacks``, from :func:`_stacks_by_shape`): one ``eigh`` per
+    stack, read by the face certificate's support sum, and one
+    product-operator transform per stack, read by the
+    :class:`ConstraintOperator` target. A set built from a state
     (:meth:`from_state`) traces each marginal once and runs the checks of
     :class:`DensityMatrix` on each stack, reading those eigenvalues, rather
     than one ``eigvalsh`` per marginal.
@@ -154,8 +156,8 @@ class MarginalConstraintSet:
                 )
             keys.append(key)
             targets.append(target)
-        self._fill(signature, keys, targets,
-                   _stacks_by_shape([target.matrix for target in targets]))
+        self._fill(signature, keys, targets, _stacks_by_shape(
+            [target.matrix for target in targets], [target.dims for target in targets]))
 
     @classmethod
     def from_state(cls, state: AmplitudeTensor,
@@ -170,13 +172,14 @@ class MarginalConstraintSet:
         signature = rho.signature
         dims = signature.dims
         keys = [_validate_subset(subset, signature.n_parties) for subset in subsets]
-        stacks = _stacks_by_shape([_partial_trace(rho.matrix, dims, key) for key in keys])
+        sub_dims = [tuple(dims[p] for p in key) for key in keys]
+        stacks = _stacks_by_shape([_partial_trace(rho.matrix, dims, key) for key in keys],
+                                  sub_dims)
         targets = [None] * len(keys)
         for members, stack, vals, _ in stacks:
             _check_density(stack, vals)
             for j, i in enumerate(members):
-                targets[i] = DensityMatrix._checked(
-                    PartySignature(dims[p] for p in keys[i]), stack[j])
+                targets[i] = DensityMatrix._checked(PartySignature(sub_dims[i]), stack[j])
         self = cls.__new__(cls)
         self._fill(signature, keys, targets, stacks)
         return self
@@ -198,13 +201,14 @@ class MarginalConstraintSet:
         return worst
 
 
-def _stacks_by_shape(matrices: Sequence[np.ndarray]):
-    """Per distinct matrix shape ``(members, stack, vals, vecs)``: the
-    indices of the matrices of that shape, in order, the read-only stack of
-    them and its ``np.linalg.eigh``."""
+def _stacks_by_shape(matrices: Sequence[np.ndarray], sub_dims: Sequence[tuple[int, ...]]):
+    """Per distinct party shape ``(members, stack, vals, vecs)``: the
+    indices of the matrices on parties of local dimensions ``sub_dims[i]``,
+    the read-only stack of them and its ``np.linalg.eigh``. (2, 3) and
+    (3, 2) marginals are both 6 x 6, but their product operators differ."""
     stacks = []
-    for shape in dict.fromkeys(m.shape for m in matrices):
-        members = tuple(i for i, m in enumerate(matrices) if m.shape == shape)
+    for shape in dict.fromkeys(sub_dims):
+        members = tuple(i for i, d in enumerate(sub_dims) if d == shape)
         stack = _freeze(np.stack([matrices[i] for i in members]))
         vals, vecs = np.linalg.eigh(stack)
         stacks.append((members, stack, vals, vecs))
@@ -272,13 +276,12 @@ class ConstraintOperator:
         # 1/sqrt(T), on the identity label, which sorts first.
         acc = np.zeros(len(self.weights))
         acc[0] = np.sqrt(t)
-        vecs = [None] * len(pinned)
         for members, stack, _, _ in constraints._stacks:
-            for i, v in zip(members, herm_to_vec(stack)):
-                vecs[i] = v
-        for (idx, local, d_rest), v in zip(pinned, vecs):
-            # Tr(X (B_S x I/sqrt(d_rest))) = Tr(X_S B_S) / sqrt(d_rest)
-            acc[idx] += d_rest * (local @ v / np.sqrt(d_rest))
+            sub_dims = constraints.constraints[members[0]][1].dims
+            for i, v in zip(members, _product_coefficients(stack, sub_dims)):
+                idx, d_rest = pinned[i]
+                # Tr(X (B_S x I/sqrt(d_rest))) = Tr(X_S B_S) / sqrt(d_rest)
+                acc[idx] += d_rest * (v / np.sqrt(d_rest))
         self.target = acc / self.weights
 
     def coefficients(self, x_mat: np.ndarray) -> np.ndarray:
@@ -327,31 +330,26 @@ def _constraint_layout(dims: tuple[int, ...], subsets: tuple[tuple[int, ...], ..
 
     ``subsets`` are normalized subset keys in constraint order. Returns
     ``(labels, weights, pinned)``: ``labels`` and ``weights`` as on the
-    operator, and per subset ``(idx, local, d_rest)``, where ``idx`` places
-    the subset's labels in ``labels``, ``local`` holds the
-    :func:`herm_to_vec` coordinates of the subset's own product operators in
-    the same order (one matrix per distinct subset dims) and ``d_rest`` is
-    the dimension of the subset's complement. Every operator of the shape
-    shares these arrays, so they are read-only.
+    operator, and per subset ``(idx, d_rest)``, where ``idx`` places the
+    subset's labels in ``labels`` and ``d_rest`` is the dimension of the
+    subset's complement. The subset's labels run in the order of
+    :func:`tensor._product_coefficients` on the subset's own dims, so
+    ``idx`` places that transform of its marginal directly. Every operator
+    of the shape shares these arrays, so they are read-only.
     """
     t = math.prod(dims)
     weights = {(0,) * len(dims): float(t)}
-    local_by_dims: dict[tuple[int, ...], np.ndarray] = {}
     terms = []
     for subset in subsets:
-        sub_dims = tuple(dims[p] for p in subset)
-        if sub_dims not in local_by_dims:
-            local_by_dims[sub_dims] = _freeze(herm_to_vec(product_operators(
-                sub_dims, list(_labels_within(sub_dims, range(len(sub_dims)))))))
-        d_rest = t // math.prod(sub_dims)
+        d_rest = t // math.prod(dims[p] for p in subset)
         labels = list(_labels_within(dims, subset))
         for lab in labels:
             weights[lab] = weights.get(lab, 0.0) + d_rest
-        terms.append((labels, local_by_dims[sub_dims], d_rest))
+        terms.append((labels, d_rest))
     order = sorted(weights)
     index = {lab: i for i, lab in enumerate(order)}
-    pinned = tuple((_freeze(np.array([index[lab] for lab in labels])), local, d_rest)
-                   for labels, local, d_rest in terms)
+    pinned = tuple((_freeze(np.array([index[lab] for lab in labels])), d_rest)
+                   for labels, d_rest in terms)
     flat = np.ravel_multi_index(np.array(order).T, [d * d for d in dims])
     return (_freeze(flat), _freeze(np.array([weights[lab] for lab in order])), pinned)
 
@@ -459,10 +457,11 @@ def _add_on_parties(out: np.ndarray, local: np.ndarray, dims: Sequence[int],
 
 def _restricted_map(op: ConstraintOperator, basis: np.ndarray) -> np.ndarray:
     """The marginal map on ``Herm(K)``: the pinned coefficients of
-    ``V E V^+`` for an orthonormal basis ``E`` of ``Herm(k)`` (``V = basis``,
-    T x k), one column per ``E``."""
+    ``V E V^+`` (``V = basis``, T x k), one column per ``E`` of the unit
+    Gell-Mann basis of ``Herm(k)`` (``tensor._unit_basis(k)``, the 1 x 1
+    identity at k = 1), in its order."""
     k = basis.shape[1]
-    lifted = basis @ vec_to_herm(np.eye(k * k), k) @ basis.conj().T
+    lifted = basis @ _unit_basis(k) @ basis.conj().T
     return op.coefficients(lifted).T
 
 
@@ -580,7 +579,7 @@ def _parent_hamiltonian(psi: np.ndarray, op: ConstraintOperator,
     perp = np.linalg.svd(psi.conj()[None, :])[2][1:].conj().T
     basis_perp = perp.conj().T @ basis @ perp
     energy = np.einsum("i,nij,j->n", psi.conj(), basis, psi).real
-    a = -(null @ (herm_to_vec(ops) @ herm_to_vec(np.outer(psi, psi.conj()))))
+    a = -(null @ op.coefficients(np.outer(psi, psi.conj()))[1:])
     a /= np.linalg.norm(a)
     for step in range(_DUAL_STEPS + 1):
         h = np.tensordot(a, basis, axes=1)
@@ -612,8 +611,9 @@ class _FaceOperator:
     It has the projections and the weighted system of
     :class:`ConstraintOperator` over the k x k matrices ``E``, so the
     restarts and the polish run on it unchanged. Its constraints are the
-    rows of ``rows``, orthonormal in the :func:`herm_to_vec` coordinates of
-    ``E``, with ``target`` and ``weights`` as on ``ConstraintOperator``. The
+    rows of ``rows``, orthonormal in the coefficients of ``E`` over the unit
+    Gell-Mann basis of ``Herm(k)`` (the product-operator transform on dims
+    ``(k,)``), with ``target`` and ``weights`` as on ``ConstraintOperator``. The
     restricted map (:func:`_restricted_map` of ``op`` on the T x k basis
     ``V``) is scaled by the square roots of the weights and
     factored as ``U S W^T``, keeping the singular values that reach
@@ -627,24 +627,26 @@ class _FaceOperator:
         u, s, wt = np.linalg.svd(sqrt_w[:, None] * restricted, full_matrices=False)
         keep = s >= _GAP_MIN
         self.total_dim = basis.shape[1]
+        self.dims = (self.total_dim,)
         self.rows = wt[keep]
         self.target = u[:, keep].T @ (sqrt_w * op.target) / s[keep]
         self.weights = s[keep] ** 2
 
     def project(self, e_mat: np.ndarray) -> np.ndarray:
-        e = herm_to_vec(e_mat)
-        return vec_to_herm(e - (e @ self.rows.T - self.target) @ self.rows, self.total_dim)
+        e = _product_coefficients(e_mat, self.dims)
+        return _product_combination(e - (e @ self.rows.T - self.target) @ self.rows, self.dims)
 
     def project_kernel(self, g_mat: np.ndarray) -> np.ndarray:
-        g = herm_to_vec(g_mat)
-        return vec_to_herm(g - (g @ self.rows.T) @ self.rows, self.total_dim)
+        g = _product_coefficients(g_mat, self.dims)
+        return _product_combination(g - (g @ self.rows.T) @ self.rows, self.dims)
 
     def weighted_operators(self) -> np.ndarray:
-        return vec_to_herm(self.rows * np.sqrt(self.weights)[:, None], self.total_dim)
+        return _product_combination(self.rows * np.sqrt(self.weights)[:, None], self.dims)
 
     def weighted_residual(self, e_mat: np.ndarray) -> np.ndarray:
         sqrt_w = np.sqrt(self.weights)
-        return (self.rows * sqrt_w[:, None]) @ herm_to_vec(e_mat) - self.target * sqrt_w
+        return ((self.rows * sqrt_w[:, None]) @ _product_coefficients(e_mat, self.dims)
+                - self.target * sqrt_w)
 
 
 def _lift(x: np.ndarray, basis: np.ndarray | None) -> np.ndarray:

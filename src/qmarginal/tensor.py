@@ -35,8 +35,6 @@ __all__ = [
     "rank_and_nullspace",
     "trace_distance",
     "trace_norm",
-    "herm_to_vec",
-    "vec_to_herm",
 ]
 
 HERMITICITY_ATOL = 1e-12
@@ -46,8 +44,6 @@ NORM_ATOL = 1e-12
 # density matrix, and marginals, within 2 NORM_ATOL + NORM_ATOL^2 of unit
 # trace; the third NORM_ATOL is room for the rounding of the sums.
 TRACE_ATOL = 3 * NORM_ATOL
-
-_SQRT2 = np.sqrt(2.0)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -326,10 +322,12 @@ def product_operators(dims: Sequence[int],
 
 @lru_cache(maxsize=None)
 def _unit_basis(d: int) -> np.ndarray:
-    """:func:`gell_mann_basis` scaled to unit Hilbert-Schmidt norm."""
-    scale = np.full(d * d, 1 / _SQRT2)
+    """:func:`gell_mann_basis` scaled to unit Hilbert-Schmidt norm; at
+    ``d = 1``, the 1 x 1 identity, the basis of a one-dimensional face."""
+    scale = np.full(d * d, 1 / np.sqrt(2.0))
     scale[0] = 1 / np.sqrt(d)
-    return _freeze(gell_mann_basis(d) * scale[:, None, None])
+    basis = gell_mann_basis(d) if d > 1 else np.ones((1, 1, 1), dtype=complex)
+    return _freeze(basis * scale[:, None, None])
 
 
 @lru_cache(maxsize=None)
@@ -414,39 +412,3 @@ def trace_distance(a, b) -> float:
 def trace_norm(x: np.ndarray) -> float:
     """Sum of singular values of a Hermitian matrix (sum of |eigenvalues|)."""
     return float(np.sum(np.abs(np.linalg.eigvalsh(x))))
-
-
-# ---------------------------------------------------------------------------
-# Real coordinates on Hermitian space
-# ---------------------------------------------------------------------------
-#
-# A Hermitian T x T matrix maps to a real vector of length T^2 such that the
-# Euclidean inner product of coordinates equals the Hilbert-Schmidt inner
-# product of matrices. Layout: diagonal, then sqrt(2)*Re(upper), then
-# sqrt(2)*Im(upper).
-
-@lru_cache(maxsize=None)
-def _triu(t: int):
-    iu = np.triu_indices(t, 1)
-    return iu[0].copy(), iu[1].copy()
-
-
-def herm_to_vec(x: np.ndarray) -> np.ndarray:
-    """Isometric real coordinates of Hermitian matrices (batchable)."""
-    t = x.shape[-1]
-    iu0, iu1 = _triu(t)
-    diag = np.real(x[..., np.arange(t), np.arange(t)])
-    up = x[..., iu0, iu1]
-    return np.concatenate([diag, _SQRT2 * np.real(up), _SQRT2 * np.imag(up)], axis=-1)
-
-
-def vec_to_herm(v: np.ndarray, t: int) -> np.ndarray:
-    """Inverse of :func:`herm_to_vec`."""
-    iu0, iu1 = _triu(t)
-    no = iu0.size
-    out = np.zeros(v.shape[:-1] + (t, t), dtype=complex)
-    out[..., np.arange(t), np.arange(t)] = v[..., :t]
-    up = (v[..., t:t + no] + 1j * v[..., t + no:]) / _SQRT2
-    out[..., iu0, iu1] = up
-    out[..., iu1, iu0] = np.conj(up)
-    return out

@@ -18,8 +18,8 @@ import pytest
 from hypothesis import settings
 
 from qmarginal.claims import ghz_state  # noqa: F401  (re-exported for the tests)
-from qmarginal.tensor import (DensityMatrix, herm_to_vec, partial_trace_matrix, product_operators,
-                              rank_and_nullspace, vec_to_herm)
+from qmarginal.tensor import (DensityMatrix, partial_trace_matrix, product_operators,
+                              rank_and_nullspace)
 from qmarginal.uniqueness import (DEFAULT_RANK_RTOL, EliminationStep, RankDeficientBlockError,
                                   TripartiteShape)
 
@@ -95,11 +95,18 @@ def purity(rho: DensityMatrix) -> float:
     return float(np.trace(rho.matrix @ rho.matrix).real)
 
 
+def hs_products(ops: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``Tr(B_l X)`` for each Hermitian operator ``B_l`` of the stack ``ops``
+    and each matrix ``X`` over the last two axes of ``x``: Hilbert-Schmidt
+    products, real for Hermitian ``X``."""
+    return np.einsum("lij,...ji->...l", ops, x).real
+
+
 def reference_constraint_fields(constraints):
     """The pinned labels of a ``ConstraintOperator`` as sorted label tuples,
-    the :func:`herm_to_vec` coordinates of their operators (one row each),
-    and its ``target`` and ``weights``, built label by label from the
-    constraints alone, with no shared layout."""
+    the stack of their complex operators, and its ``target`` and
+    ``weights``, built label by label from the constraints alone, with no
+    shared layout."""
     dims = constraints.signature.dims
     t = constraints.signature.total_dim
     # label -> [sum of weight * value, sum of weights]
@@ -109,44 +116,41 @@ def reference_constraint_fields(constraints):
                                           for p, d in enumerate(dims))))
         local = product_operators(target.dims, [[lab[p] for p in subset] for lab in pinned])
         d_rest = t // target.signature.total_dim
-        values = herm_to_vec(local) @ herm_to_vec(target.matrix) / np.sqrt(d_rest)
+        values = hs_products(local, target.matrix) / np.sqrt(d_rest)
         for lab, v in zip(pinned, values):
             acc = sums.setdefault(lab, [0.0, 0.0])
             acc[0] += d_rest * v
             acc[1] += d_rest
     labels = sorted(sums)
-    rows = herm_to_vec(product_operators(dims, labels))
+    ops = product_operators(dims, labels)
     target = np.array([sums[lab][0] / sums[lab][1] for lab in labels])
     weights = np.array([sums[lab][1] for lab in labels])
-    return labels, rows, target, weights
+    return labels, ops, target, weights
 
 
 class DenseConstraintOperator:
-    """The constraint map through the dense matrix of pinned rows, one
-    T^2-column row per pinned operator: the reference that the library's
+    """The constraint map through the dense stack of pinned operators, one
+    T x T matrix per pinned label: the reference that the library's
     party-by-party transform is held to."""
 
     def __init__(self, constraints):
-        _, self.rows, self.target, self.weights = reference_constraint_fields(constraints)
-        self.total_dim = constraints.signature.total_dim
+        _, self.ops, self.target, self.weights = reference_constraint_fields(constraints)
 
     def coefficients(self, x):
-        return herm_to_vec(x) @ self.rows.T
+        return hs_products(self.ops, x)
 
     def project(self, x):
-        v = herm_to_vec(x)
-        return vec_to_herm(v - (v @ self.rows.T - self.target) @ self.rows, self.total_dim)
+        return x - np.tensordot(self.coefficients(x) - self.target, self.ops, axes=1)
 
     def project_kernel(self, g):
-        v = herm_to_vec(g)
-        return vec_to_herm(v - (v @ self.rows.T) @ self.rows, self.total_dim)
+        return g - np.tensordot(self.coefficients(g), self.ops, axes=1)
 
     def restricted_map(self, basis):
-        """The rows applied to ``V E V^+`` for an orthonormal basis ``E`` of
-        ``Herm(k)``, ``V = basis`` (T x k)."""
+        """The pinned coefficients of ``V E V^+``, ``V = basis`` (T x k), one
+        column per product operator ``E`` on one k-level party."""
         k = basis.shape[1]
-        lifted = basis @ vec_to_herm(np.eye(k * k), k) @ basis.conj().T
-        return self.rows @ herm_to_vec(lifted).T
+        face = product_operators((k,), [(l,) for l in range(k * k)])
+        return self.coefficients(basis @ face @ basis.conj().T).T
 
 
 def column_of(shape, kind: str, a: int, b: int) -> int:

@@ -430,6 +430,17 @@ class TestUsage:
         assert captured.err.startswith("internal error: Eigenvalues did not converge")
         assert captured.out == ""
 
+    def test_out_of_memory_is_an_internal_error(self, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 4.00 GiB")
+        monkeypatch.setattr(cli, "uniqueness_probe", exhausted)
+        code = main(["check", "--n", "3", "--d", "2", "--mode", "oracle",
+                     "--subsets", "01,02,12"])
+        captured = capsys.readouterr()
+        assert code == EXIT_INTERNAL == 4
+        assert captured.err == "internal error: out of memory (Unable to allocate 4.00 GiB)\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("argv", [
         ["sample", "--n", "3", "--d", "2", "--format", "csv"],
         ["classical", "--n", "3", "--d", "2", "--epsilon", "0.01", "--seed", "3",

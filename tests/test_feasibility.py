@@ -45,8 +45,8 @@ from qmarginal.tensor import (
 )
 from qmarginal.uniqueness import UNIQUE_LINEAR, check_linear_uniqueness
 
-from conftest import (PAULI, DenseConstraintOperator, ghz_state, haar_unitary, kron_all,
-                      random_density, random_hermitian, reference_constraint_fields,
+from conftest import (PAULI, DenseConstraintOperator, ghz_state, haar_unitary, hs_products,
+                      kron_all, random_density, random_hermitian, reference_constraint_fields,
                       slow_partial_trace)
 
 PAIRS3 = [(0, 1), (0, 2), (1, 2)]
@@ -116,8 +116,8 @@ class TestConstraintNullspace:
         cs = MarginalConstraintSet.from_state(haar(dims, 45), subsets)
         t = int(np.prod(dims))
         assert len(ConstraintOperator(cs).labels) == t * t - expected
-        rows = DenseConstraintOperator(cs).rows
-        assert np.abs(rows @ rows.T - np.eye(len(rows))).max() < 1e-13
+        ops = DenseConstraintOperator(cs).ops
+        assert np.abs(hs_products(ops, ops) - np.eye(len(ops))).max() < 1e-13
 
     @pytest.mark.parametrize("subsets", [[(7,)], [()], [(0, 0)]])
     def test_invalid_subset_rejected(self, subsets):
@@ -489,6 +489,8 @@ class TestFaceOperator:
         assert calls == [(8, 2)]
 
 
+TEN_QUBIT_HALVES = [(0, 1, 2, 3, 4, 5, 6), (0, 1, 2, 3, 7, 8, 9)]
+
 LAYOUT_CASES = {
     "3-qubit pairs": ((2, 2, 2), PAIRS3),
     "4x2x2 AB/AC": ((4, 2, 2), ABAC),
@@ -496,6 +498,7 @@ LAYOUT_CASES = {
     "4-qubit pairs": ((2,) * 4, PAIRS4),
     "332 unsorted subset": ((3, 3, 2), [(1, 0), (1, 2)]),
     "repeated subset": ((2, 2, 2), [(0, 1), (1, 2), (0, 1)]),
+    "232 AB/BC, one 6x6 stack of two party shapes": ((2, 3, 2), [(0, 1), (1, 2)]),
 }
 
 
@@ -519,24 +522,35 @@ class TestConstraintLayout:
             labels, _, target, weights = reference_constraint_fields(cs)
             grid = [d * d for d in dims]
             assert list(zip(*np.unravel_index(op.labels, grid))) == labels
-            assert np.array_equal(op.target, target)
+            # The transform and the Hilbert-Schmidt products round apart.
+            assert np.abs(op.target - target).max() <= 2 * np.finfo(float).eps
             assert np.array_equal(op.weights, weights)
 
-    def test_second_operator_of_a_shape_builds_no_product_operators(self, monkeypatch):
+    def test_no_build_calls_product_operators(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("product_operators called")
+
+        monkeypatch.setattr(feasibility, "product_operators", refuse)
+        for dims, subsets in LAYOUT_CASES.values():
+            feasibility._constraint_layout.cache_clear()
+            for seed in (1, 2):     # a cold layout, then the cached one
+                ConstraintOperator(mixed_constraints(dims, subsets, seed))
+
+    def test_ten_qubit_halves_build_stays_small(self):
+        # The paper's (4, 3, 3) grouping of 10 qubits: two 7-qubit marginals,
+        # 32512 pinned labels. A subset's own d_S^4 coordinate matrix alone
+        # would take 2 GB.
         feasibility._constraint_layout.cache_clear()
-        calls = []
-        real = feasibility.product_operators
-
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(feasibility, "product_operators", counted)
-        ConstraintOperator(mixed_constraints((2,) * 5, TRIPLES5, 1))
-        assert calls
-        calls.clear()
-        ConstraintOperator(mixed_constraints((2,) * 5, TRIPLES5, 2))
-        assert calls == []
+        state = haar((2,) * 10, 1)
+        tracemalloc.start()
+        try:
+            op = ConstraintOperator(MarginalConstraintSet.from_state(state, TEN_QUBIT_HALVES))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        feasibility._constraint_layout.cache_clear()
+        assert len(op.labels) == 2 * 4 ** 7 - 4 ** 4
+        assert peak < 100 * 2 ** 20
 
     def test_shared_layout_is_read_only(self):
         op = ConstraintOperator(mixed_constraints((2, 2, 2), PAIRS3, 1))
@@ -562,7 +576,7 @@ def unit_hermitian(np_rng, t, batch=()):
 
 def assert_matches_dense_reference(cs, np_rng):
     """Projection, kernel projection, pinned coefficients and restricted map
-    of the party-by-party transform agree with the dense rows."""
+    of the party-by-party transform agree with the dense operator stack."""
     op, ref = ConstraintOperator(cs), DenseConstraintOperator(cs)
     t = op.total_dim
     x = unit_hermitian(np_rng, t)
@@ -571,9 +585,10 @@ def assert_matches_dense_reference(cs, np_rng):
     assert np.abs(op.project(xs) - ref.project(xs)).max() < 1e-13
     assert np.abs(op.project_kernel(x) - ref.project_kernel(x)).max() < 1e-13
     assert np.abs(op.coefficients(xs) - ref.coefficients(xs)).max() < 1e-13
-    k = min(3, t)
-    basis, _ = np.linalg.qr(np_rng.standard_normal((t, k)) + 1j * np_rng.standard_normal((t, k)))
-    assert np.abs(_restricted_map(op, basis) - ref.restricted_map(basis)).max() < 1e-13
+    for k in (1, min(3, t)):
+        basis, _ = np.linalg.qr(np_rng.standard_normal((t, k))
+                                + 1j * np_rng.standard_normal((t, k)))
+        assert np.abs(_restricted_map(op, basis) - ref.restricted_map(basis)).max() < 1e-13
 
 
 class TestTransformParity:
@@ -1008,6 +1023,15 @@ class TestFaceCertificate:
         assert min(iters) > 1
         for out in outs:
             assert trace_distance(out, rho) <= _DISTINCTNESS_TOL
+
+    def test_product_state_certified_on_a_one_dimensional_face(self):
+        # K is spanned by |000>: the restricted map has one column, on the
+        # 1 x 1 identity, and the gap is its norm, sqrt(7/8). |000><000| has
+        # weight 1/8 on each of IZ's 8 label tuples, and pairs pin all but ZZZ.
+        state = AmplitudeTensor.from_vector(np.eye(8)[0], (2, 2, 2))
+        verdict = uniqueness_probe(state, PAIRS3, rng=SeededRng(1))
+        assert verdict.verdict == UNIQUE and verdict.decided_by == "certificate"
+        assert verdict.certificate_gap == pytest.approx(0.9354143466934852, rel=1e-12)
 
     @pytest.mark.parametrize("a", [None, 0.3, 0.55, 0.8])
     def test_ghz_family_never_certified(self, a):

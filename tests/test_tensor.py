@@ -8,22 +8,21 @@ from qmarginal.tensor import (
     DensityMatrix,
     PartySignature,
     SeededRng,
+    _unit_basis,
     coarse_grain,
     gell_mann_basis,
     haar_random_state,
-    herm_to_vec,
     partial_trace_matrix,
     product_operators,
     rank_and_nullspace,
     to_density,
     trace_distance,
-    vec_to_herm,
 )
 
 from qmarginal.uniqueness import DEFAULT_RANK_RTOL, build_consistency_matrix
 
-from conftest import (PAULI, ghz_state, kron_all, partial_trace, purity, random_density,
-                      random_hermitian, slow_partial_trace)
+from conftest import (PAULI, ghz_state, hs_products, kron_all, partial_trace, purity,
+                      random_density, random_hermitian, slow_partial_trace)
 
 # Mean single-party purity of Haar 3-qubit states, computed by brute-force
 # Monte Carlo with an independent generator (RandomState Mersenne stream,
@@ -179,6 +178,13 @@ class TestGellMannBasis:
                 expect = 2.0 if i == j else 0.0
                 assert abs(np.trace(basis[i] @ basis[j]) - expect) < 1e-13
 
+    def test_one_level_refused_but_unit_basis_is_the_identity(self):
+        # A one-dimensional face has Herm(1) = span{1}, and no party has d = 1.
+        with pytest.raises(ValueError, match=">= 2"):
+            gell_mann_basis(1)
+        assert np.array_equal(_unit_basis(1), np.ones((1, 1, 1)))
+        assert np.array_equal(product_operators((1,), [(0,)]), np.ones((1, 1, 1)))
+
 
 def all_labels(dims):
     return list(itertools.product(*(range(d * d) for d in dims)))
@@ -187,7 +193,7 @@ def all_labels(dims):
 def expand(rho, dims):
     """Coefficients Tr(rho P_l) over every product operator P_l, and the stack."""
     ops = product_operators(dims, all_labels(dims))
-    return herm_to_vec(ops) @ herm_to_vec(rho), ops
+    return hs_products(ops, rho), ops
 
 
 class TestBloch:
@@ -338,16 +344,6 @@ class TestRankAndNullspaceThinSvd:
         assert basis.shape == (17, 13)
         assert np.abs(m @ basis).max() < 1e-12
         assert self.assert_matches_reference(m) == 4
-
-
-class TestHermVec:
-    def test_roundtrip_and_isometry(self, np_rng):
-        x = random_hermitian(np_rng, 6)
-        y = random_hermitian(np_rng, 6)
-        assert np.abs(vec_to_herm(herm_to_vec(x), 6) - x).max() < 1e-13
-        hs = np.trace(x @ y).real
-        euclid = float(herm_to_vec(x) @ herm_to_vec(y))
-        assert abs(hs - euclid) < 1e-10 * max(1.0, abs(hs))
 
 
 class TestCoarseGrain:
