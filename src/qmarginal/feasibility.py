@@ -283,6 +283,7 @@ class ConstraintOperator:
                 # Tr(X (B_S x I/sqrt(d_rest))) = Tr(X_S B_S) / sqrt(d_rest)
                 acc[idx] += d_rest * (v / np.sqrt(d_rest))
         self.target = acc / self.weights
+        self._weighted_ops = None
 
     def coefficients(self, x_mat: np.ndarray) -> np.ndarray:
         """``Tr(X B_l)`` for every pinned label, over the last two axes."""
@@ -308,8 +309,12 @@ class ConstraintOperator:
         return product_operators(self.dims, np.stack(np.unravel_index(self.labels, grid), 1))
 
     def weighted_operators(self) -> np.ndarray:
-        """The pinned operators scaled by the square roots of the weights."""
-        return self.operators() * np.sqrt(self.weights)[:, None, None]
+        """The pinned operators scaled by the square roots of the weights,
+        ``(len(labels), T, T)``; built on the first call and kept, since
+        every whole-space polish of a probe reads the same stack."""
+        if self._weighted_ops is None:
+            self._weighted_ops = _freeze(self.operators() * np.sqrt(self.weights)[:, None, None])
+        return self._weighted_ops
 
     def weighted_residual(self, x_mat: np.ndarray) -> np.ndarray:
         """``sqrt(w_l) (Tr(X B_l) - target_l)`` per pinned label: its norm is
@@ -391,27 +396,34 @@ def _dykstra_batch(starts: np.ndarray, op: ConstraintOperator,
     The step size is the larger trace-norm change across the two half-steps
     of a cycle; a run stops when it drops below ``tol``. Returns the
     PSD-side iterates, per-run iteration counts and convergence flags.
+
+    The working arrays hold only the runs still active, in start order
+    (``ids`` maps them back): a cycle on them is the same per-matrix
+    arithmetic as a cycle on every run, since the batched ``eigh`` and the
+    affine projection treat each matrix on its own, so each run's result
+    equals a batch of that run alone. A cycle in which runs finish writes
+    their results and drops them from the working arrays.
     """
     n_runs, t, _ = starts.shape
     sq_t = np.sqrt(t)
     x = (starts + np.swapaxes(starts.conj(), -2, -1)) / 2
     p = np.zeros_like(x)
     q = np.zeros_like(x)
-    out = x.copy()
-    active = np.ones(n_runs, dtype=bool)
+    out = np.empty_like(x)
     iterations = np.zeros(n_runs, dtype=int)
     converged = np.zeros(n_runs, dtype=bool)
+    ids = np.arange(n_runs)
+    y = x
     for it in range(1, max_iterations + 1):
-        if not active.any():
+        if not len(ids):
             break
-        idx = np.flatnonzero(active)
-        xa, pa, qa = x[idx], p[idx], q[idx]
-        ya = _project_psd_batch(xa + pa)
-        pa = xa + pa - ya
-        xa_new = op.project(ya + qa)
-        qa = ya + qa - xa_new
-        d1 = ya - xa
-        d2 = xa_new - ya
+        y = _project_psd_batch(x + p)
+        p = x + p - y
+        x_new = op.project(y + q)
+        q = y + q - x_new
+        d1 = y - x
+        d2 = x_new - y
+        x = x_new
         fro = np.maximum(
             np.sqrt(np.sum(np.abs(d1) ** 2, axis=(1, 2))),
             np.sqrt(np.sum(np.abs(d2) ** 2, axis=(1, 2))),
@@ -422,12 +434,16 @@ def _dykstra_batch(starts: np.ndarray, op: ConstraintOperator,
         unsure = np.flatnonzero(~done & (fro < tol))
         for i in unsure:
             done[i] = max(trace_norm(d1[i]), trace_norm(d2[i])) < tol
-        x[idx], p[idx], q[idx] = xa_new, pa, qa
-        out[idx] = ya
-        iterations[idx] = it
-        finished = idx[done]
-        converged[finished] = True
-        active[finished] = False
+        if done.any():
+            finished = ids[done]
+            out[finished] = y[done]
+            iterations[finished] = it
+            converged[finished] = True
+            live = ~done
+            ids, x, p, q, y = ids[live], x[live], p[live], q[live], y[live]
+    # The runs the cap stopped, at their last PSD-side iterate.
+    out[ids] = y
+    iterations[ids] = max_iterations
     return out, iterations, converged
 
 
@@ -619,7 +635,9 @@ class _FaceOperator:
     factored as ``U S W^T``, keeping the singular values that reach
     ``_GAP_MIN``: ``rows = W^T``, ``target = S^-1 U^T (sqrt(w) c)`` and
     ``weights = S^2``, so the weighted residual of ``E`` is the one
-    ``ConstraintOperator`` measures on ``V E V^+``.
+    ``ConstraintOperator`` measures on ``V E V^+``. The weighted rows and
+    target, and the weighted operators they combine into, are computed
+    once here: every polish of the probe reads them.
     """
 
     def __init__(self, op: ConstraintOperator, basis: np.ndarray, restricted: np.ndarray):
@@ -631,6 +649,10 @@ class _FaceOperator:
         self.rows = wt[keep]
         self.target = u[:, keep].T @ (sqrt_w * op.target) / s[keep]
         self.weights = s[keep] ** 2
+        face_sqrt_w = np.sqrt(self.weights)
+        self._rows_w = self.rows * face_sqrt_w[:, None]
+        self._target_w = self.target * face_sqrt_w
+        self._weighted_ops = _freeze(_product_combination(self._rows_w, self.dims))
 
     def project(self, e_mat: np.ndarray) -> np.ndarray:
         e = _product_coefficients(e_mat, self.dims)
@@ -641,12 +663,10 @@ class _FaceOperator:
         return _product_combination(g - (g @ self.rows.T) @ self.rows, self.dims)
 
     def weighted_operators(self) -> np.ndarray:
-        return _product_combination(self.rows * np.sqrt(self.weights)[:, None], self.dims)
+        return self._weighted_ops
 
     def weighted_residual(self, e_mat: np.ndarray) -> np.ndarray:
-        sqrt_w = np.sqrt(self.weights)
-        return ((self.rows * sqrt_w[:, None]) @ _product_coefficients(e_mat, self.dims)
-                - self.target * sqrt_w)
+        return self._rows_w @ _product_coefficients(e_mat, self.dims) - self._target_w
 
 
 def _lift(x: np.ndarray, basis: np.ndarray | None) -> np.ndarray:
@@ -658,60 +678,69 @@ def _lift(x: np.ndarray, basis: np.ndarray | None) -> np.ndarray:
 # Witness certification
 # ---------------------------------------------------------------------------
 
-def _gauss_newton_polish(candidate: np.ndarray, op: ConstraintOperator, rank: int):
-    """Fit ``W = A A^+`` of the given rank to the affine constraints.
+def _gauss_newton_polish(a: np.ndarray, op: ConstraintOperator):
+    """Fit ``W = A A^+``, starting from the T x r factor ``a``, to the
+    affine constraints.
 
-    Up to ``_POLISH_STEPS`` Gauss-Newton steps with backtracking on the norm
-    of ``op.weighted_residual(W)``, which is the root sum of squares of
-    every constrained partial trace's Frobenius error and of the trace
-    error. The outcome is PSD by construction, so only the affine residual
-    needs verification. Returns ``(W, residual)``.
+    Up to ``_POLISH_STEPS`` points, each after a Gauss-Newton step with
+    backtracking on the norm of ``op.weighted_residual(W)``, which is the
+    root sum of squares of every constrained partial trace's Frobenius
+    error and of the trace error. Each point is evaluated once: the step
+    that backtracking accepts is the next point, with its ``W`` and
+    residual, and no step is taken after the last point. Only a step reads
+    the weighted operators, which both operator classes build once. The
+    outcome is PSD by construction, so only the affine residual needs
+    verification. Returns the best point's ``(W, residual)``.
     """
-    t = candidate.shape[0]
-    rank = max(1, min(rank, t))
-    vals, vecs = np.linalg.eigh((candidate + candidate.conj().T) / 2)
-    order = np.argsort(vals)[::-1]
-    vals = np.maximum(vals[order][:rank], 0.0)
-    a = vecs[:, order[:rank]] * np.sqrt(np.maximum(vals, 1e-30))
-    ops = op.weighted_operators()
-    best_a, best_res = a, np.inf
-    for _ in range(_POLISH_STEPS):
-        w = a @ a.conj().T
-        f = op.weighted_residual(w)
+    t, rank = a.shape
+    w = a @ a.conj().T
+    f = op.weighted_residual(w)
+    best_w, best_res = w, np.inf
+    for point in range(_POLISH_STEPS):
         res = float(np.linalg.norm(f))
         if res < best_res:
-            best_a, best_res = a.copy(), res
-        if res < 1e-14:
+            best_w, best_res = w, res
+        if res < 1e-14 or point == _POLISH_STEPS - 1:
             break
+        ops = op.weighted_operators()
         # Row k, direction E = e_i e_j^T (or i times it): the change of
         # Tr(Q_k (E A^+ + A E^+)) is 2 Re (or -2 Im) of (A^+ Q_k)[j, i].
         g = a.conj().T @ ops
         jac = 2 * np.stack([g.real, -g.imag], axis=-1).reshape(len(ops), -1)
         step, *_ = np.linalg.lstsq(jac, -f, rcond=None)
         da = (step[0::2] + 1j * step[1::2]).reshape(rank, t).T
+        # Halve the step until the residual drops; the 21st, smallest step
+        # is taken unchecked.
         scale = 1.0
-        for _ in range(20):
+        for halvings in range(21):
             a_try = a + scale * da
-            w_try = a_try @ a_try.conj().T
-            if float(np.linalg.norm(op.weighted_residual(w_try))) < res:
+            w = a_try @ a_try.conj().T
+            f = op.weighted_residual(w)
+            if halvings == 20 or float(np.linalg.norm(f)) < res:
                 break
             scale /= 2
-        a = a + scale * da
-    w = best_a @ best_a.conj().T
-    return w, float(np.linalg.norm(op.weighted_residual(w)))
+        a = a_try
+    return best_w, best_res
 
 
 def _certify(candidate: np.ndarray, op: ConstraintOperator):
     """Polish a candidate into an exactly PSD, constraint-consistent matrix.
 
-    Tries increasing factorization ranks starting from the candidate's
-    numerical rank; returns the polished matrix or None.
+    One ``eigh`` of the symmetrised candidate gives its numerical rank
+    ``r0`` (eigenvalues above 1e-2 of the largest) and, for each rank
+    tried (``r0``, ``r0 + 2``, then T), the starting factor of
+    :func:`_gauss_newton_polish`: the leading eigenvectors scaled by the
+    square roots of their eigenvalues, clipped at 1e-30. Returns the first polished
+    matrix whose residual is below ``_CERT_TOL``, or None.
     """
     t = candidate.shape[0]
-    vals = np.linalg.eigvalsh((candidate + candidate.conj().T) / 2)
+    vals, vecs = np.linalg.eigh((candidate + candidate.conj().T) / 2)
     r0 = int(np.sum(vals > 1e-2 * max(vals.max(), 1e-30)))
+    order = np.argsort(vals)[::-1]
     for rank in dict.fromkeys([max(r0, 1), min(max(r0, 1) + 2, t), t]):
-        w, res = _gauss_newton_polish(candidate, op, rank)
+        top = order[:rank]
+        a = vecs[:, top] * np.sqrt(np.maximum(vals[top], 1e-30))
+        w, res = _gauss_newton_polish(a, op)
         if res < _CERT_TOL:
             return w
     return None
@@ -906,7 +935,7 @@ def uniqueness_probe(pure_state: AmplitudeTensor,
         np.array(starts), search, config.max_iterations, config.convergence_tol)
 
     runs: list[RunRecord] = []
-    found: list[tuple[float, np.ndarray]] = []    # (distance, polished witness)
+    found: list[tuple[float, np.ndarray, np.ndarray]] = []    # (distance, polished, lifted)
     for i in range(len(starts)):
         converged = bool(conv[i])
         dist = trace_distance(_lift(outs[i], basis), rho.matrix)
@@ -921,7 +950,7 @@ def uniqueness_probe(pure_state: AmplitudeTensor,
                 lifted = _lift(polished, basis)
                 away = trace_distance(lifted, rho.matrix)
                 if _verify_witness(lifted, op, config) and away > tol:
-                    found.append((away, polished))
+                    found.append((away, polished, lifted))
                     outcome = WITNESS
         runs.append(RunRecord(outcome, converged, int(iters[i]), dist))
     if certified_by:
@@ -934,12 +963,12 @@ def uniqueness_probe(pure_state: AmplitudeTensor,
         # Push outward only the witness with the longest feasible chord
         # from the reference; report the farthest verified point.
         psi = pure_state.vector() if basis is None else basis.conj().T @ pure_state.vector()
-        _, start = max(found, key=lambda f: _exit_parameter(psi, f[1]) * f[0])
+        _, start, _ = max(found, key=lambda f: _exit_parameter(psi, f[1]) * f[0])
         far = _lift(_pursue_far(reference, start, search), basis)
-        candidates = [_lift(w, basis) for _, w in found]
+        candidates = [(away, lifted) for away, _, lifted in found]
         if _verify_witness(far, op, config):
-            candidates.append(far)
-        best = max(candidates, key=lambda w: trace_distance(w, rho.matrix))
+            candidates.append((trace_distance(far, rho.matrix), far))
+        _, best = max(candidates, key=lambda c: c[0])
         listed = (rho, _as_density(best, signature))
         return _finish(NON_UNIQUE, listed, op, runs, gap, face_dim)
     if all(r.outcome == RETURNED_REFERENCE for r in runs):

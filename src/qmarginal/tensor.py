@@ -203,9 +203,17 @@ def haar_random_state(signature: PartySignature, rng: SeededRng) -> AmplitudeTen
 
 
 def to_density(state: AmplitudeTensor) -> DensityMatrix:
-    """Rank-one density matrix of a pure state."""
+    """Rank-one density matrix of a pure state.
+
+    The checks of :class:`DensityMatrix` do not run again: ``AmplitudeTensor``
+    has already found ``psi`` finite and of unit norm within ``NORM_ATOL``,
+    and ``psi psi^+`` is then exactly Hermitian (entry ``(j, i)`` is the
+    conjugate of entry ``(i, j)``, the same products), positive
+    semidefinite of rank one, and of trace within ``TRACE_ATOL`` of 1 (see
+    that constant).
+    """
     v = state.vector()
-    return DensityMatrix(state.signature, np.outer(v, v.conj()))
+    return DensityMatrix._checked(state.signature, np.outer(v, v.conj()))
 
 
 def _validate_subset(keep: Sequence[int], n_parties: int) -> tuple[int, ...]:

@@ -283,6 +283,27 @@ class TestDykstraSolve:
         assert trace_distance(res.matrix, rho) > 0.2
         assert np.abs(res.matrix - start).max() < 1e-9
 
+    def test_batch_equals_its_runs_one_by_one(self):
+        # Feasible starts that stop at cycle 1, runs that converge after
+        # 274-624 cycles, and runs that the cap of 650 stops (667 and 1002
+        # uncapped), interleaved so that runs finish around live ones.
+        state = haar([2, 2, 2], 51)
+        op = ConstraintOperator(MarginalConstraintSet.from_state(state, PAIRS3))
+        rho = to_density(state).matrix
+        starts = [rho]
+        for r, scale in enumerate([0.02, 0.05, 0.1, 0.2, 0.3, 0.5]):
+            g = SeededRng(52).spawn(r).complex_normal((8, 8))
+            kdir = op.project_kernel(g + g.conj().T)
+            starts.append(rho + scale * kdir / np.linalg.norm(kdir))
+        starts.insert(4, rho)
+        outs, iters, conv = _dykstra_batch(np.array(starts), op, 650, 1e-9)
+        assert iters.tolist() == [1, 274, 623, 650, 1, 624, 532, 650]
+        assert conv.tolist() == [True, True, True, False, True, True, True, False]
+        for i, start in enumerate(starts):
+            out, it, ok = _dykstra_batch(start[None], op, 650, 1e-9)
+            assert np.array_equal(outs[i], out[0])
+            assert np.array_equal(iters[i], it[0]) and np.array_equal(conv[i], ok[0])
+
 
 class TestUniquenessProbe:
     def test_haar_three_qubit_pairs_unique(self):
@@ -693,12 +714,56 @@ class TestOnePass:
         count(np.linalg, "eigvalsh")
         verdict = uniqueness_probe(state, TRIPLES5, rng=SeededRng(1))
         assert verdict.decided_by == "certificate"
-        # One validation per key, one validating constructor (rho's), one
-        # eigh each for the marginal stack, the support sum and the PSD step
-        # of the cross-check, and one eigvalsh each for rho's check and the
-        # run's distance.
-        assert calls == {"_validate_subset": len(TRIPLES5), "__post_init__": 1,
-                         "eigh": 3, "eigvalsh": 2}
+        # One validation per key, no validating constructor (rho is formed
+        # from the checked state), one eigh each for the marginal stack, the
+        # support sum and the PSD step of the cross-check, and one eigvalsh,
+        # for the run's distance.
+        assert calls == {"_validate_subset": len(TRIPLES5), "eigh": 3, "eigvalsh": 1}
+
+    def test_witness_path_decomposes_and_evaluates_each_point_once(self, monkeypatch):
+        calls = {"eigh": 0, "eigvalsh": 0, "lstsq": 0, "faces": 0}
+        for name in ("eigh", "eigvalsh", "lstsq"):
+            def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        per_certify = []
+
+        def certify(candidate, op, _real=feasibility._certify):
+            before = dict(calls)
+            out = _real(candidate, op)
+            per_certify.append((calls["eigh"] - before["eigh"],
+                                calls["eigvalsh"] - before["eigvalsh"]))
+            return out
+
+        face_op = feasibility._FaceOperator
+        points, stacks = [], []
+
+        def init(self, *args, _real=face_op.__init__):
+            calls["faces"] += 1
+            _real(self, *args)
+
+        def weighted_residual(self, e_mat, _real=face_op.weighted_residual):
+            points.append(np.ascontiguousarray(e_mat).tobytes())
+            return _real(self, e_mat)
+
+        def weighted_operators(self, _real=face_op.weighted_operators):
+            stacks.append(_real(self))
+            return stacks[-1]
+
+        monkeypatch.setattr(feasibility, "_certify", certify)
+        monkeypatch.setattr(face_op, "__init__", init)
+        monkeypatch.setattr(face_op, "weighted_residual", weighted_residual)
+        monkeypatch.setattr(face_op, "weighted_operators", weighted_operators)
+        verdict = uniqueness_probe(ghz_state(3), PAIRS3, rng=SeededRng(1))
+        assert verdict.verdict == NON_UNIQUE and verdict.face_dim == 2
+        # 8 restarts and 7 pursuit candidates, one eigh each and no eigvalsh;
+        # one face operator, whose one weighted stack each of the 22
+        # Gauss-Newton steps reads; 37 points evaluated, none of them twice.
+        assert per_certify == [(1, 0)] * 15
+        assert calls["faces"] == 1 and calls["lstsq"] == len(stacks) == 22
+        assert all(stack is stacks[0] for stack in stacks)
+        assert len(points) == len(set(points)) == 37
 
     @settings(max_examples=40)
     @given(st.data())

@@ -2,12 +2,16 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmarginal.tensor import (
+    NORM_ATOL,
     AmplitudeTensor,
     DensityMatrix,
     PartySignature,
     SeededRng,
+    _check_density,
     _unit_basis,
     coarse_grain,
     gell_mann_basis,
@@ -99,6 +103,19 @@ class TestToDensity:
         vals = np.linalg.eigvalsh(to_density(state).matrix)
         assert abs(vals[-1] - 1.0) < 1e-10
         assert np.abs(vals[:-1]).max() < 1e-10
+
+    @settings(max_examples=60)
+    @given(dims=st.lists(st.sampled_from([2, 3]), min_size=1, max_size=4),
+           seed=st.integers(0, 10 ** 6), side=st.sampled_from([-1, 1]))
+    def test_unchecked_density_passes_the_checks(self, dims, seed, side):
+        # to_density skips DensityMatrix's checks; psi psi^+ of a state at
+        # the edge of the norm tolerance still passes every one of them.
+        vec = SeededRng(seed).complex_normal(int(np.prod(dims)))
+        vec *= (1 + side * 0.9 * NORM_ATOL) / np.linalg.norm(vec)
+        rho = to_density(AmplitudeTensor.from_vector(vec, dims))
+        assert np.array_equal(rho.matrix, np.outer(vec, vec.conj()))
+        assert not rho.matrix.flags.writeable
+        _check_density(rho.matrix, np.linalg.eigvalsh(rho.matrix))
 
 
 class TestPartialTrace:
