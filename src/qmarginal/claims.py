@@ -35,7 +35,7 @@ import numpy as np
 from .bounds import alpha_upper_table, bounds_rows, count_reduced_params, solve_alpha_lower
 from .classical import (JointDistribution, alternating_deviation, classical_marginal,
                         counterexample_pair)
-from .feasibility import (NON_UNIQUE, UNIQUE, constraint_nullspace, genericity_survey,
+from .feasibility import (NON_UNIQUE, UNIQUE, _constraint_layout, genericity_survey,
                           uniqueness_probe)
 from .tensor import (AmplitudeTensor, PartySignature, SeededRng, haar_random_state,
                      partial_trace_matrix, to_density)
@@ -193,9 +193,15 @@ def oracle_four_qubit_pairs(seed: int, spawn: int, trials: int) -> tuple[bool, d
     return ok, {"trials": trials, "verdicts": verdicts, "certified": certified}
 
 
+def _unpinned_count(dims: tuple[int, ...], subsets) -> int:
+    """The dimension of the constraint kernel: the product-operator labels
+    that neither unit trace nor any subset's marginal pins."""
+    return PartySignature(dims).total_dim ** 2 - len(_constraint_layout(dims, subsets)[0])
+
+
 def constraint_kernel_dims() -> tuple[bool, dict]:
-    k3 = constraint_nullspace(PartySignature([2, 2, 2]), PAIRS3).shape[0]
-    k2 = constraint_nullspace(PartySignature([2, 2]), [(0,), (1,)]).shape[0]
+    k3 = _unpinned_count((2, 2, 2), PAIRS3)
+    k2 = _unpinned_count((2, 2), ((0,), (1,)))
     return k3 == 27 and k2 == 9, {"three_qubit_pairs": k3, "two_qubit_singles": k2}
 
 

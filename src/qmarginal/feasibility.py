@@ -68,7 +68,6 @@ from .tensor import (
     _unit_basis,
     _validate_subset,
     haar_random_state,
-    product_operators,
     to_density,
     trace_distance,
     trace_norm,
@@ -83,7 +82,6 @@ __all__ = [
     "ConstraintOperator",
     "RunRecord",
     "FeasibilityVerdict",
-    "constraint_nullspace",
     "project_psd",
     "uniqueness_probe",
     "genericity_survey",
@@ -243,8 +241,10 @@ class ConstraintOperator:
     """The marginal-constraint map in orthonormal product-operator coordinates.
 
     Fixing the reduced state on a subset S fixes exactly the coefficients of
-    the product operators (see :func:`product_operators`) whose support lies
-    inside S. ``labels`` lists every such pinned operator over all
+    the product operators ``B_L`` whose support lies inside S; ``B_L`` is the
+    Kronecker product over parties of the unit-norm generalized Gell-Mann
+    matrices (:func:`tensor._unit_basis`, the identity at label 0).
+    ``labels`` lists every such pinned operator over all
     constrained subsets, sorted, as a flat row-major index into the
     ``d_1^2 x ... x d_n^2`` grid of label tuples; the operators are
     orthonormal, so ``X - sum_l (Tr(X B_l) - target_l) B_l`` is the
@@ -255,9 +255,9 @@ class ConstraintOperator:
     least-squares compromise when the targets disagree. Unit trace is the
     marginal on the empty subset, whose complement is the whole system.
 
-    The coefficients are computed party by party, with no T^2-column matrix
-    of the operators; only :meth:`operators` builds the operators, for the
-    two readers that need them. ``labels`` and ``weights`` depend only on
+    The coefficients, the combinations and the products ``B_l V``
+    (:meth:`operators_on`) are computed party by party: no matrix of the
+    operators is formed. ``labels`` and ``weights`` depend only on
     the dimensions and the subsets, so they come from
     :func:`_constraint_layout`, built once per shape and shared, read-only,
     by every operator of that shape; only ``target`` is computed per state.
@@ -269,7 +269,7 @@ class ConstraintOperator:
         t = constraints.signature.total_dim
         self.dims = dims
         self.total_dim = t
-        self.labels, self.weights, pinned = _constraint_layout(
+        self.labels, self.weights, self._pinned = _constraint_layout(
             dims, tuple(subset for subset, _ in constraints.constraints))
         # Sum of weight * value per label, then divided by the summed weights.
         # Unit trace is the marginal on the empty subset: weight T, value
@@ -279,11 +279,10 @@ class ConstraintOperator:
         for members, stack, _, _ in constraints._stacks:
             sub_dims = constraints.constraints[members[0]][1].dims
             for i, v in zip(members, _product_coefficients(stack, sub_dims)):
-                idx, d_rest = pinned[i]
+                idx, d_rest = self._pinned[i]
                 # Tr(X (B_S x I/sqrt(d_rest))) = Tr(X_S B_S) / sqrt(d_rest)
                 acc[idx] += d_rest * (v / np.sqrt(d_rest))
         self.target = acc / self.weights
-        self._weighted_ops = None
 
     def coefficients(self, x_mat: np.ndarray) -> np.ndarray:
         """``Tr(X B_l)`` for every pinned label, over the last two axes."""
@@ -303,30 +302,42 @@ class ConstraintOperator:
         """Orthogonal projection onto the homogeneous kernel of the map."""
         return g_mat - self._combination(self.coefficients(g_mat))
 
-    def operators(self) -> np.ndarray:
-        """The pinned product operators, ``(len(labels), T, T)``."""
-        grid = [d * d for d in self.dims]
-        return product_operators(self.dims, np.stack(np.unravel_index(self.labels, grid), 1))
+    def operators_on(self, v: np.ndarray) -> np.ndarray:
+        """``B_l V`` for every pinned label and a T x r ``V``, ``(len(labels), T, r)``.
 
-    def weighted_operators(self) -> np.ndarray:
-        """The pinned operators scaled by the square roots of the weights,
-        ``(len(labels), T, T)``; built on the first call and kept, since
-        every whole-space polish of a probe reads the same stack."""
-        if self._weighted_ops is None:
-            self._weighted_ops = _freeze(self.operators() * np.sqrt(self.weights)[:, None, None])
-        return self._weighted_ops
+        Per subset, the column index of ``V`` on each party in turn meets
+        that party's unit basis: all of it on the subset's parties, which
+        adds a label axis, and the scaled identity alone elsewhere. Each
+        new row index moves last, so after the last party the rows are back
+        in party order and the subset's labels in the order its ``idx``
+        places. No operator and no local matrix of a subset is formed.
+        """
+        t, r = v.shape
+        out = np.empty((len(self.labels), t, r), dtype=complex)
+        out[0] = v / np.sqrt(t)     # the identity label, pinned by unit trace
+        for (subset, _), (idx, _) in zip(self.constraints.constraints, self._pinned):
+            a = v.reshape(1, -1)
+            for p, d in enumerate(self.dims):
+                local = _unit_basis(d) if p in subset else _unit_basis(d)[:1]
+                k = len(local)
+                # a[L, j, x] -> sum_j local[l, i, j] a[L, j, x] at [L, l, x, i]
+                a = a.reshape(len(a), d, -1).transpose(0, 2, 1) @ \
+                    local.transpose(2, 0, 1).reshape(d, k * d)
+                a = a.reshape(len(a), -1, k, d).transpose(0, 2, 1, 3).reshape(len(a) * k, -1)
+            out[idx] = np.swapaxes(a.reshape(len(idx), r, t), 1, 2)
+        return out
+
+    def weighted_products(self, a: np.ndarray) -> np.ndarray:
+        """``sqrt(w_l) A^+ B_l`` per pinned label for a T x r ``A``,
+        ``(len(labels), r, T)``: the rows of the polish's Jacobian."""
+        moved = self.operators_on(a) * np.sqrt(self.weights)[:, None, None]
+        return np.swapaxes(moved.conj(), 1, 2)
 
     def weighted_residual(self, x_mat: np.ndarray) -> np.ndarray:
         """``sqrt(w_l) (Tr(X B_l) - target_l)`` per pinned label: its norm is
         the root sum of squares of every constrained partial trace's
         Frobenius error and of the trace error."""
         return np.sqrt(self.weights) * (self.coefficients(x_mat) - self.target)
-
-
-def _labels_within(dims: Sequence[int], subset: Sequence[int]):
-    """Product-operator labels whose support lies inside ``subset``."""
-    return itertools.product(*(range(d * d) if p in subset else (0,)
-                               for p, d in enumerate(dims)))
 
 
 @lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
@@ -347,7 +358,8 @@ def _constraint_layout(dims: tuple[int, ...], subsets: tuple[tuple[int, ...], ..
     terms = []
     for subset in subsets:
         d_rest = t // math.prod(dims[p] for p in subset)
-        labels = list(_labels_within(dims, subset))
+        labels = list(itertools.product(*(range(d * d) if p in subset else (0,)
+                                          for p, d in enumerate(dims))))
         for lab in labels:
             weights[lab] = weights.get(lab, 0.0) + d_rest
         terms.append((labels, d_rest))
@@ -357,24 +369,6 @@ def _constraint_layout(dims: tuple[int, ...], subsets: tuple[tuple[int, ...], ..
                    for labels, d_rest in terms)
     flat = np.ravel_multi_index(np.array(order).T, [d * d for d in dims])
     return (_freeze(flat), _freeze(np.array([weights[lab] for lab in order])), pinned)
-
-
-def constraint_nullspace(signature: PartySignature,
-                         subsets: Sequence[Sequence[int]]) -> np.ndarray:
-    """Orthonormal basis of traceless Hermitian deviations with vanishing
-    partial trace on every constrained subset.
-
-    Returns a stack of shape ``(k, T, T)``; orthonormality is in the
-    Hilbert-Schmidt inner product. Any two states consistent with the same
-    marginals differ by an element of this space. Its basis is the product
-    operators whose support is not contained in any constrained subset.
-    """
-    dims = signature.dims
-    pinned = {(0,) * len(dims)}
-    for subset in subsets:
-        pinned.update(_labels_within(dims, _validate_subset(subset, len(dims))))
-    free = [lab for lab in _labels_within(dims, range(len(dims))) if lab not in pinned]
-    return product_operators(dims, free)
 
 
 def _project_psd_batch(x: np.ndarray) -> np.ndarray:
@@ -580,25 +574,23 @@ def _parent_hamiltonian(psi: np.ndarray, op: ConstraintOperator,
     the null space, and takes up to ``_DUAL_STEPS`` normalized steps of
     gradient ascent on the unit sphere for ``lambda_min(H on psi-perp) - e``
     (the minimum smoothed by softmin weights), stopping as soon as the
-    certificate holds. Returns ``(holds, relative gap, H)``; ``H`` is None
-    when no candidate exists.
+    certificate holds. ``B_l psi``, ``H``, the energies and the gradient
+    all come from the product-operator transform, with no stack of T x T
+    operators. Returns ``(holds, relative gap, H)``; ``H`` is None when no
+    candidate exists.
     """
     t = len(psi)
-    ops = op.operators()[1:]
-    moved = ops @ psi
+    moved = op.operators_on(psi[:, None])[1:, :, 0]
     off = moved - np.outer(moved @ psi.conj(), psi)       # (I - psi psi^+) B_l psi
     _, svals, vh = np.linalg.svd(np.concatenate([off.real, off.imag], axis=1).T)
     null = vh[int(np.sum(svals > _GAP_ZERO * svals[0])):]
     if len(null) == 0:
         return False, 0.0, None
-    basis = np.tensordot(null, ops, axes=1)
     perp = np.linalg.svd(psi.conj()[None, :])[2][1:].conj().T
-    basis_perp = perp.conj().T @ basis @ perp
-    energy = np.einsum("i,nij,j->n", psi.conj(), basis, psi).real
-    a = -(null @ op.coefficients(np.outer(psi, psi.conj()))[1:])
-    a /= np.linalg.norm(a)
+    energy = null @ op.coefficients(np.outer(psi, psi.conj()))[1:]
+    a = -energy / np.linalg.norm(energy)
     for step in range(_DUAL_STEPS + 1):
-        h = np.tensordot(a, basis, axes=1)
+        h = op._combination(np.concatenate([[0.0], a @ null]))
         vals = np.linalg.eigvalsh(h)
         l0, l1, lmax = vals[0], vals[1], vals[-1]
         rel = float((l1 - l0) / (lmax - l0))
@@ -608,10 +600,10 @@ def _parent_hamiltonian(psi: np.ndarray, op: ConstraintOperator,
             return True, rel, h
         if step == _DUAL_STEPS:
             break
-        mu, w = np.linalg.eigh(np.tensordot(a, basis_perp, axes=1))
+        mu, w = np.linalg.eigh(perp.conj().T @ h @ perp)
         weights = np.exp(-(mu - mu[0]) / (0.05 * max(mu[-1] - mu[0], 1e-12)))
         smoothed = (w * (weights / weights.sum())) @ w.conj().T
-        grad = np.einsum("nij,ji->n", basis_perp, smoothed).real - energy
+        grad = null @ op.coefficients(perp @ smoothed @ perp.conj().T)[1:] - energy
         grad -= (grad @ a) * a
         norm = float(np.linalg.norm(grad))
         if norm < 1e-15:
@@ -662,8 +654,8 @@ class _FaceOperator:
         g = _product_coefficients(g_mat, self.dims)
         return _product_combination(g - (g @ self.rows.T) @ self.rows, self.dims)
 
-    def weighted_operators(self) -> np.ndarray:
-        return self._weighted_ops
+    def weighted_products(self, a: np.ndarray) -> np.ndarray:
+        return a.conj().T @ self._weighted_ops
 
     def weighted_residual(self, e_mat: np.ndarray) -> np.ndarray:
         return self._rows_w @ _product_coefficients(e_mat, self.dims) - self._target_w
@@ -688,9 +680,9 @@ def _gauss_newton_polish(a: np.ndarray, op: ConstraintOperator):
     error and of the trace error. Each point is evaluated once: the step
     that backtracking accepts is the next point, with its ``W`` and
     residual, and no step is taken after the last point. Only a step reads
-    the weighted operators, which both operator classes build once. The
-    outcome is PSD by construction, so only the affine residual needs
-    verification. Returns the best point's ``(W, residual)``.
+    the Jacobian rows ``op.weighted_products(A)``, ``sqrt(w_k) A^+ Q_k``
+    over the constraints ``Q_k``. The outcome is PSD by construction, so
+    only the affine residual needs verification. Returns the best point's ``(W, residual)``.
     """
     t, rank = a.shape
     w = a @ a.conj().T
@@ -702,11 +694,10 @@ def _gauss_newton_polish(a: np.ndarray, op: ConstraintOperator):
             best_w, best_res = w, res
         if res < 1e-14 or point == _POLISH_STEPS - 1:
             break
-        ops = op.weighted_operators()
         # Row k, direction E = e_i e_j^T (or i times it): the change of
         # Tr(Q_k (E A^+ + A E^+)) is 2 Re (or -2 Im) of (A^+ Q_k)[j, i].
-        g = a.conj().T @ ops
-        jac = 2 * np.stack([g.real, -g.imag], axis=-1).reshape(len(ops), -1)
+        g = op.weighted_products(a)
+        jac = 2 * np.stack([g.real, -g.imag], axis=-1).reshape(len(g), -1)
         step, *_ = np.linalg.lstsq(jac, -f, rcond=None)
         da = (step[0::2] + 1j * step[1::2]).reshape(rank, t).T
         # Halve the step until the residual drops; the 21st, smallest step

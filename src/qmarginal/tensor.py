@@ -31,7 +31,6 @@ __all__ = [
     "partial_trace_matrix",
     "coarse_grain",
     "gell_mann_basis",
-    "product_operators",
     "rank_and_nullspace",
     "trace_distance",
     "trace_norm",
@@ -307,27 +306,6 @@ def gell_mann_basis(d: int) -> np.ndarray:
     return _freeze(np.stack(mats))
 
 
-def product_operators(dims: Sequence[int],
-                      labels: Sequence[Sequence[int]]) -> np.ndarray:
-    """Hilbert-Schmidt-orthonormal product operators, one per label tuple.
-
-    Label tuple ``(l_1, ..., l_n)`` maps to the Kronecker product over
-    parties of ``gell_mann_basis(d_p)[l_p]`` scaled to unit Hilbert-Schmidt
-    norm (identity by ``1/sqrt(d_p)``, the rest by ``1/sqrt(2)``). Local
-    dimensions may differ. Returns a stack of shape ``(len(labels), T, T)``;
-    over all labels it is an orthonormal basis of the Hermitian matrices.
-    """
-    dims = tuple(int(d) for d in dims)
-    labels = np.asarray(labels, dtype=int).reshape(-1, len(dims))
-    out = np.ones((len(labels), 1, 1), dtype=complex)
-    for p, d in enumerate(dims):
-        local = _unit_basis(d)[labels[:, p]]
-        t = out.shape[-1]
-        out = (out[:, :, None, :, None] * local[:, None, :, None, :]).reshape(
-            len(labels), t * d, t * d)
-    return out
-
-
 @lru_cache(maxsize=None)
 def _unit_basis(d: int) -> np.ndarray:
     """:func:`gell_mann_basis` scaled to unit Hilbert-Schmidt norm; at
@@ -345,13 +323,15 @@ def _pair_to_label(d: int) -> np.ndarray:
 
 
 # The coefficients Tr(X B_L) of a T x T matrix X over every product-operator
-# label L, and back, one party at a time. X is read as a tensor with one
+# label L = (l_1, ..., l_n), and back, one party at a time; B_L is the
+# Kronecker product over parties of the unit-norm basis matrices b_{l_p}, an
+# orthonormal basis of the Hermitian matrices over all L. X is read as a tensor with one
 # (row, column) index pair per party; party p's pair (i, j) meets its label
 # l through the d^2 x d^2 matrix M[l, i d + j] = conj(b_l[i, j]), b_l the
 # unit-norm basis. Each step contracts one pair into its label, or one label
 # into its pair, and moves the new axis last, so after every party the axes
-# are back in party order. The labels come out flattened row-major, the
-# order of :func:`product_operators` over sorted label tuples.
+# are back in party order. The labels come out flattened row-major, in
+# the order of the sorted label tuples.
 
 def _product_coefficients(x: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
     """``Tr(X B_L)`` for every label ``L``, over the last two axes of ``x``

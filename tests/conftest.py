@@ -18,8 +18,8 @@ import pytest
 from hypothesis import settings
 
 from qmarginal.claims import ghz_state  # noqa: F401  (re-exported for the tests)
-from qmarginal.tensor import (DensityMatrix, partial_trace_matrix, product_operators,
-                              rank_and_nullspace)
+from qmarginal.tensor import (DensityMatrix, _unit_basis, _validate_subset,
+                              partial_trace_matrix, rank_and_nullspace)
 from qmarginal.uniqueness import (DEFAULT_RANK_RTOL, EliminationStep, RankDeficientBlockError,
                                   TripartiteShape)
 
@@ -93,6 +93,46 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
 
 def purity(rho: DensityMatrix) -> float:
     return float(np.trace(rho.matrix @ rho.matrix).real)
+
+
+def product_operators(dims, labels) -> np.ndarray:
+    """Hilbert-Schmidt-orthonormal product operators, one per label tuple.
+
+    Label tuple ``(l_1, ..., l_n)`` maps to the Kronecker product over
+    parties of ``gell_mann_basis(d_p)[l_p]`` scaled to unit Hilbert-Schmidt
+    norm (identity by ``1/sqrt(d_p)``, the rest by ``1/sqrt(2)``). Local
+    dimensions may differ. Returns a stack of shape ``(len(labels), T, T)``;
+    over all labels it is an orthonormal basis of the Hermitian matrices.
+    """
+    dims = tuple(int(d) for d in dims)
+    labels = np.asarray(labels, dtype=int).reshape(-1, len(dims))
+    out = np.ones((len(labels), 1, 1), dtype=complex)
+    for p, d in enumerate(dims):
+        local = _unit_basis(d)[labels[:, p]]
+        t = out.shape[-1]
+        out = (out[:, :, None, :, None] * local[:, None, :, None, :]).reshape(
+            len(labels), t * d, t * d)
+    return out
+
+
+def constraint_nullspace(signature, subsets) -> np.ndarray:
+    """Orthonormal basis of traceless Hermitian deviations with vanishing
+    partial trace on every constrained subset.
+
+    Returns a stack of shape ``(k, T, T)``; orthonormality is in the
+    Hilbert-Schmidt inner product. Any two states consistent with the same
+    marginals differ by an element of this space. Its basis is the product
+    operators whose support is not contained in any constrained subset.
+    """
+    dims = signature.dims
+    pinned = {(0,) * len(dims)}
+    for subset in subsets:
+        key = _validate_subset(subset, len(dims))
+        pinned.update(itertools.product(*(range(d * d) if p in key else (0,)
+                                          for p, d in enumerate(dims))))
+    free = [lab for lab in itertools.product(*(range(d * d) for d in dims))
+            if lab not in pinned]
+    return product_operators(dims, free)
 
 
 def hs_products(ops: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ from qmarginal.feasibility import (
     _parent_hamiltonian,
     _restricted_map,
     _support_sum,
-    constraint_nullspace,
+    _verify_witness,
     genericity_survey,
     project_psd,
     uniqueness_probe,
@@ -45,14 +45,15 @@ from qmarginal.tensor import (
 )
 from qmarginal.uniqueness import UNIQUE_LINEAR, check_linear_uniqueness
 
-from conftest import (PAULI, DenseConstraintOperator, ghz_state, haar_unitary, hs_products,
-                      kron_all, random_density, random_hermitian, reference_constraint_fields,
-                      slow_partial_trace)
+from conftest import (PAULI, DenseConstraintOperator, constraint_nullspace, ghz_state,
+                      haar_unitary, hs_products, kron_all, random_density, random_hermitian,
+                      reference_constraint_fields, slow_partial_trace)
 
 PAIRS3 = [(0, 1), (0, 2), (1, 2)]
 PAIRS4 = list(itertools.combinations(range(4), 2))
 TRIPLES5 = list(itertools.combinations(range(5), 3))
 ABAC = [(0, 1), (0, 2)]
+RING4 = [(0, 1), (1, 2), (2, 3), (0, 3)]
 
 
 def haar(dims, seed):
@@ -547,11 +548,10 @@ class TestConstraintLayout:
             assert np.abs(op.target - target).max() <= 2 * np.finfo(float).eps
             assert np.array_equal(op.weights, weights)
 
-    def test_no_build_calls_product_operators(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("product_operators called")
-
-        monkeypatch.setattr(feasibility, "product_operators", refuse)
+    def test_no_build_calls_product_operators(self):
+        # The dense stack is the tests' reference (conftest), not the library's.
+        assert not hasattr(feasibility, "product_operators")
+        assert not hasattr(tensor, "product_operators")
         for dims, subsets in LAYOUT_CASES.values():
             feasibility._constraint_layout.cache_clear()
             for seed in (1, 2):     # a cold layout, then the cached one
@@ -596,8 +596,9 @@ def unit_hermitian(np_rng, t, batch=()):
 
 
 def assert_matches_dense_reference(cs, np_rng):
-    """Projection, kernel projection, pinned coefficients and restricted map
-    of the party-by-party transform agree with the dense operator stack."""
+    """Projection, kernel projection, pinned coefficients, restricted map and
+    the products ``B_l V`` of the party-by-party transform agree with the
+    dense operator stack."""
     op, ref = ConstraintOperator(cs), DenseConstraintOperator(cs)
     t = op.total_dim
     x = unit_hermitian(np_rng, t)
@@ -610,6 +611,9 @@ def assert_matches_dense_reference(cs, np_rng):
         basis, _ = np.linalg.qr(np_rng.standard_normal((t, k))
                                 + 1j * np_rng.standard_normal((t, k)))
         assert np.abs(_restricted_map(op, basis) - ref.restricted_map(basis)).max() < 1e-13
+    for r in (1, 3):
+        v = np_rng.standard_normal((t, r)) + 1j * np_rng.standard_normal((t, r))
+        assert np.abs(op.operators_on(v) - ref.ops @ v).max() < 1e-13
 
 
 class TestTransformParity:
@@ -666,18 +670,32 @@ SEVEN_QUBIT_HALVES = [(0, 1, 2, 3, 4), (0, 1, 2, 5, 6)]
 
 
 class TestRowsFree:
-    def test_warm_probes_build_no_product_operators(self, monkeypatch):
-        triples, ghz = haar((2,) * 5, 75), ghz_state(3)
-        for state, subsets in ((triples, TRIPLES5), (ghz, PAIRS3)):
-            ConstraintOperator(MarginalConstraintSet.from_state(state, subsets))
-
-        def refuse(*args):
-            raise AssertionError("product_operators called")
-
-        monkeypatch.setattr(feasibility, "product_operators", refuse)
+    def test_warm_probes_build_no_product_operators(self):
+        # No library module has the dense stack any more; the conftest copy
+        # is the tests' reference.
+        assert not hasattr(feasibility, "product_operators")
+        assert not hasattr(tensor, "product_operators")
+        triples, ghz, pairs = haar((2,) * 5, 75), ghz_state(3), haar((2,) * 4, 3)
         assert uniqueness_probe(triples, TRIPLES5, rng=SeededRng(1)).decided_by == "certificate"
         verdict = uniqueness_probe(ghz, PAIRS3, rng=SeededRng(1))
         assert verdict.verdict == NON_UNIQUE and verdict.face_dim == 2
+        verdict = uniqueness_probe(pairs, PAIRS4, rng=SeededRng(1))
+        assert verdict.verdict == UNIQUE and verdict.decided_by == "parent_hamiltonian"
+
+    def test_seven_qubit_parent_hamiltonian_stays_small(self):
+        # Haar 7-qubit triples: no marginal has a kernel, 1156 pinned labels.
+        # A dense stack of their 128 x 128 operators alone would take 300 MB.
+        state = haar((2,) * 7, 1)
+        op = ConstraintOperator(MarginalConstraintSet.from_state(
+            state, list(itertools.combinations(range(7), 3))))
+        tracemalloc.start()
+        try:
+            held, gap, _ = _parent_hamiltonian(state.vector(), op, _DISTINCTNESS_TOL)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held and gap >= _GAP_MIN
+        assert peak < 64 * 2 ** 20
 
     def test_seven_qubit_certified_probe_stays_small(self):
         # A dense matrix of the 1984 pinned rows alone would take 260 MB.
@@ -747,14 +765,14 @@ class TestOnePass:
             points.append(np.ascontiguousarray(e_mat).tobytes())
             return _real(self, e_mat)
 
-        def weighted_operators(self, _real=face_op.weighted_operators):
-            stacks.append(_real(self))
-            return stacks[-1]
+        def weighted_products(self, a, _real=face_op.weighted_products):
+            stacks.append(self._weighted_ops)
+            return _real(self, a)
 
         monkeypatch.setattr(feasibility, "_certify", certify)
         monkeypatch.setattr(face_op, "__init__", init)
         monkeypatch.setattr(face_op, "weighted_residual", weighted_residual)
-        monkeypatch.setattr(face_op, "weighted_operators", weighted_operators)
+        monkeypatch.setattr(face_op, "weighted_products", weighted_products)
         verdict = uniqueness_probe(ghz_state(3), PAIRS3, rng=SeededRng(1))
         assert verdict.verdict == NON_UNIQUE and verdict.face_dim == 2
         # 8 restarts and 7 pursuit candidates, one eigh each and no eigvalsh;
@@ -863,6 +881,26 @@ class TestWitnessPursuit:
         witness_runs = [r for r in verdict.runs if r.outcome == "witness"]
         assert witness_runs
         assert all(reported >= r.distance for r in witness_runs)
+
+
+class TestWholeSpacePolish:
+    @pytest.mark.parametrize("n, subsets", [(3, PAIRS3), (4, RING4)],
+                             ids=["ghz3-pairs", "ghz4-ring"])
+    def test_certify_polishes_to_a_distinct_witness(self, n, subsets, np_rng):
+        # A probe of these states polishes on the face K; here the polish
+        # runs on the whole-space operator, the path of states whose
+        # marginals have no kernel, from the GHZ mixture plus noise.
+        state = ghz_state(n)
+        op = ConstraintOperator(MarginalConstraintSet.from_state(state, subsets))
+        t = 2 ** n
+        start = np.zeros((t, t), dtype=complex)
+        start[0, 0] = start[-1, -1] = 0.5
+        noise = random_hermitian(np_rng, t)
+        start += 0.02 * noise / np.linalg.norm(noise)
+        w = feasibility._certify(start, op)
+        assert w is not None and _verify_witness(w, op, ProjectionConfig())
+        assert op.constraints.marginal_residual(w) < 1e-13
+        assert abs(trace_distance(w, to_density(state).matrix) - 0.5) < 0.01
 
 
 def rotate_parties(state, unitaries):

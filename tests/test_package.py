@@ -36,6 +36,31 @@ def test_package_exports_exactly_the_library_modules_public_names():
     assert set(qmarginal.__all__) == union
 
 
+PUBLIC_NAMES = {
+    "AlphaSolution", "AmplitudeTensor", "BoundsRow", "ConsistencyMatrix",
+    "ConstraintOperator", "DEGENERATE", "DensityMatrix", "EliminationReport",
+    "EliminationStep", "EpsilonTooLargeError", "FeasibilityVerdict", "INCONCLUSIVE",
+    "JointDistribution", "MarginalConstraintSet", "NON_UNIQUE", "PartySignature",
+    "ProjectionConfig", "RankDeficientBlockError", "RunRecord", "SeededRng",
+    "TripartiteShape", "UNIQUE", "UNIQUE_LINEAR", "UniquenessVerdict",
+    "alpha_upper_table", "alternating_deviation", "binary_entropy", "bounds_rows",
+    "build_consistency_matrix", "check_linear_uniqueness", "classical_marginal",
+    "coarse_grain", "count_reduced_params", "counterexample_pair",
+    "finite_n_lower_fraction", "gell_mann_basis", "genericity_survey",
+    "haar_random_state", "identity_pattern_vector", "partial_trace_matrix",
+    "project_psd", "pure_param_count", "rank_and_nullspace",
+    "sequential_elimination_trace", "solve_alpha_lower", "to_density",
+    "trace_distance", "trace_norm", "uniqueness_probe",
+}
+
+
+def test_package_exports_exactly_the_public_names():
+    # The dense operator stacks (product_operators, constraint_nullspace)
+    # are the tests' reference, in conftest, not part of the library.
+    assert len(qmarginal.__all__) == len(PUBLIC_NAMES)
+    assert set(qmarginal.__all__) == PUBLIC_NAMES
+
+
 @pytest.mark.parametrize("name", LIBRARY_MODULES + ["claims"])
 def test_library_module_reads_no_clock(name):
     # Wall time is measured by the CLI and the benchmark, never inside the

@@ -17,7 +17,6 @@ from qmarginal.tensor import (
     gell_mann_basis,
     haar_random_state,
     partial_trace_matrix,
-    product_operators,
     rank_and_nullspace,
     to_density,
     trace_distance,
@@ -25,8 +24,8 @@ from qmarginal.tensor import (
 
 from qmarginal.uniqueness import DEFAULT_RANK_RTOL, build_consistency_matrix
 
-from conftest import (PAULI, ghz_state, hs_products, kron_all, partial_trace, purity,
-                      random_density, random_hermitian, slow_partial_trace)
+from conftest import (PAULI, ghz_state, hs_products, kron_all, partial_trace, product_operators,
+                      purity, random_density, random_hermitian, slow_partial_trace)
 
 # Mean single-party purity of Haar 3-qubit states, computed by brute-force
 # Monte Carlo with an independent generator (RandomState Mersenne stream,
