@@ -7,17 +7,42 @@ exact parameter-counting bounds on the sufficient fraction of parties,
 a classical counterexample generator, and a reproducible CLI.
 
 The package namespace re-exports exactly the public names (``__all__``) of
-its five library modules.
+its five library modules. ``import qmarginal`` loads none of them, nor
+numpy: the first lookup of a public name (``__all__`` and ``dir()``
+included) imports the five modules and binds all their names at once
+(PEP 562). A random stream (``SeededRng``) and each of its substreams is
+only a path of indices: its numpy generator is built on the first draw.
 """
 
-from . import bounds, classical, feasibility, tensor, uniqueness
-from .bounds import *  # noqa: F401,F403
-from .classical import *  # noqa: F401,F403
-from .feasibility import *  # noqa: F401,F403
-from .tensor import *  # noqa: F401,F403
-from .uniqueness import *  # noqa: F401,F403
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [*bounds.__all__, *classical.__all__, *feasibility.__all__,
-           *tensor.__all__, *uniqueness.__all__]
+_LIBRARY_MODULES = ("bounds", "classical", "feasibility", "tensor", "uniqueness")
+
+
+def _load() -> None:
+    """Import the library modules; bind their public names and ``__all__``."""
+    names = []
+    for module_name in _LIBRARY_MODULES:
+        module = import_module(f".{module_name}", __name__)
+        names += module.__all__
+        globals().update({name: getattr(module, name) for name in module.__all__})
+    globals()["__all__"] = names
+
+
+def __getattr__(name: str):
+    if name in _LIBRARY_MODULES:  # ``from . import bounds`` loads bounds alone
+        return import_module(f".{name}", __name__)
+    # Other dunders, such as introspection's ``__wrapped__``, never load numpy.
+    if "__all__" not in globals() and (name == "__all__" or not name.startswith("__")):
+        _load()
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    if "__all__" not in globals():
+        _load()
+    return sorted(globals())

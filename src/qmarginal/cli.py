@@ -8,6 +8,9 @@ error, 2 negative finding (NON_UNIQUE, DEGENERATE, rejected input),
 ran out). Reports echo the fully resolved configuration and keep all
 wall-clock data under the "timings" key so that payloads are byte-stable
 for a fixed seed.
+
+numpy and the numeric modules are imported inside the subcommands that use
+them, so ``bounds``, ``--help`` and usage errors start without numpy.
 """
 
 from __future__ import annotations
@@ -18,33 +21,15 @@ import io
 import json
 import sys
 import time
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import bounds as bounds_mod
-from . import claims
-from . import classical as classical_mod
-from .feasibility import (
-    INCONCLUSIVE,
-    NON_UNIQUE,
-    UNIQUE,
-    ProjectionConfig,
-    genericity_survey,
-    uniqueness_probe,
-)
-from .tensor import (
-    AmplitudeTensor,
-    PartySignature,
-    SeededRng,
-    _validate_subset,
-    coarse_grain,
-    haar_random_state,
-)
-from .uniqueness import (
-    UNIQUE_LINEAR,
-    check_linear_uniqueness,
-)
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .feasibility import ProjectionConfig
+    from .tensor import AmplitudeTensor
 
 STATE_SCHEMA = "qmarginal/state-v1"
 REPORT_SCHEMA = "qmarginal/report-v1"
@@ -87,6 +72,7 @@ _FACTOR_RTOL = 1e-12
 
 def _complex_pairs(arr: np.ndarray) -> list:
     """A complex array as nested lists whose innermost entries are [re, im]."""
+    import numpy as np
     return np.stack([arr.real, arr.imag], axis=-1).tolist()
 
 
@@ -99,6 +85,7 @@ def state_to_json(state: AmplitudeTensor) -> str:
 
 
 def state_from_json(text: str) -> AmplitudeTensor:
+    from .tensor import AmplitudeTensor
     data = json.loads(text)
     if not isinstance(data, dict):
         raise UsageError(f"a state file holds a JSON object, not {type(data).__name__}")
@@ -111,7 +98,7 @@ def state_from_json(text: str) -> AmplitudeTensor:
     if not isinstance(dims, list) or not all(isinstance(d, int) for d in dims):
         raise UsageError(f"state field 'dims' must be a list of integers, not {dims!r}")
     try:
-        amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
+        amps = [complex(re, im) for re, im in data["amplitudes"]]
     except (TypeError, ValueError):
         raise UsageError("state field 'amplitudes' must be a list of [re, im] "
                          "number pairs") from None
@@ -125,6 +112,7 @@ def state_from_json(text: str) -> AmplitudeTensor:
 def _parse_subsets(text: str, n_parties: int) -> list[tuple[int, ...]]:
     """Parse comma-separated party groups: "01,02,12" lists single-digit
     parties, "0-10,2-3" dash-separated ones ("0-10" is parties 0 and 10)."""
+    from .tensor import _validate_subset
     groups = []
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -136,15 +124,21 @@ def _parse_subsets(text: str, n_parties: int) -> list[tuple[int, ...]]:
     return groups
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of a count: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
+def _int_at_least(low: int):
+    """argparse type of an integer flag whose value is at least ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1)  # a count
+_seed = _int_at_least(0)
 
 
 def _parse_range(text: str, name: str) -> list[int]:
@@ -165,6 +159,7 @@ def _witness_factor(w: np.ndarray) -> np.ndarray:
     """The T x r factor A with ``W = A A^dagger``: W's eigenvectors, each
     scaled by the square root of its eigenvalue, for the eigenvalues above
     ``_FACTOR_RTOL`` times the largest, in ascending order."""
+    import numpy as np
     vals, vecs = np.linalg.eigh(w)
     keep = vals > _FACTOR_RTOL * vals[-1]
     return vecs[:, keep] * np.sqrt(vals[keep])
@@ -179,7 +174,14 @@ def _write(text: str, out_path: str | None) -> None:
 
 
 def _projection_config(args) -> ProjectionConfig:
+    from .feasibility import ProjectionConfig
     return ProjectionConfig(max_iterations=args.max_iter, convergence_tol=args.tol_converge)
+
+
+def _haar_state(args) -> AmplitudeTensor:
+    """The Haar-random state of ``--n`` parties of dimension ``--d`` at ``--seed``."""
+    from .tensor import PartySignature, SeededRng, haar_random_state
+    return haar_random_state(PartySignature([args.d] * args.n), SeededRng(args.seed))
 
 
 def _load_state(args) -> AmplitudeTensor:
@@ -188,8 +190,7 @@ def _load_state(args) -> AmplitudeTensor:
             return state_from_json(fh.read())
     if args.n is None or args.d is None:
         raise UsageError("need --state or both --n and --d")
-    sig = PartySignature([args.d] * args.n)
-    return haar_random_state(sig, SeededRng(args.seed))
+    return _haar_state(args)
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +198,13 @@ def _load_state(args) -> AmplitudeTensor:
 # ---------------------------------------------------------------------------
 
 def cmd_sample(args) -> str:
-    sig = PartySignature([args.d] * args.n)
-    return state_to_json(haar_random_state(sig, SeededRng(args.seed)))
+    return state_to_json(_haar_state(args))
 
 
 def cmd_check(args) -> Findings:
+    from .feasibility import INCONCLUSIVE, NON_UNIQUE, UNIQUE, uniqueness_probe
+    from .tensor import SeededRng, coarse_grain
+    from .uniqueness import UNIQUE_LINEAR, check_linear_uniqueness
     # Both float flags are echoed into the report whatever the mode, so
     # both are checked before any work.
     config = _projection_config(args)
@@ -270,6 +273,8 @@ def cmd_check(args) -> Findings:
 
 
 def cmd_survey(args) -> Findings:
+    from .feasibility import INCONCLUSIVE, NON_UNIQUE, UNIQUE, genericity_survey
+    from .tensor import PartySignature, SeededRng
     sig = PartySignature([args.d] * args.n)
     subsets = _parse_subsets(args.subsets, args.n)
     config = _projection_config(args)
@@ -325,10 +330,12 @@ def cmd_bounds(args) -> Findings:
 
 
 def cmd_classical(args) -> Findings:
+    from . import claims, classical
+    from .tensor import SeededRng
     try:
-        p, q = classical_mod.counterexample_pair(args.n, args.d, args.epsilon,
-                                                 SeededRng(args.seed))
-    except classical_mod.EpsilonTooLargeError as exc:
+        p, q = classical.counterexample_pair(args.n, args.d, args.epsilon,
+                                             SeededRng(args.seed))
+    except classical.EpsilonTooLargeError as exc:
         return Findings({"rejected": True, "max_admissible_epsilon": exc.max_admissible},
                         EXIT_NEGATIVE)
     return Findings({
@@ -346,6 +353,7 @@ def cmd_reproduce(args) -> Findings:
     report's own substreams of ``--seed`` and sizes derived from
     ``--trials``; the sections report the numbers each was decided on.
     """
+    from . import claims
     seed = args.seed
     trials = args.trials
     sections: dict = {}
@@ -423,7 +431,7 @@ def build_parser() -> _Parser:
     def common(p, *, formats=("json",), oracle=False, sized=True):
         p.add_argument("--n", type=int, required=sized, help="number of parties")
         p.add_argument("--d", type=int, required=sized, help="local dimension")
-        p.add_argument("--seed", type=int, default=0, help="master seed")
+        p.add_argument("--seed", type=_seed, default=0, help="master seed")
         p.add_argument("--out", type=str, default=None, help="output path")
         if formats:
             p.add_argument("--format", choices=formats, default="json")
@@ -465,13 +473,20 @@ def build_parser() -> _Parser:
     p_classical.set_defaults(func=cmd_classical)
 
     p_rep = sub.add_parser("reproduce", help="run the full desk-scale pipeline")
-    p_rep.add_argument("--seed", type=int, default=0)
+    p_rep.add_argument("--seed", type=_seed, default=0)
     p_rep.add_argument("--trials", type=_positive_int, default=20)
     p_rep.add_argument("--format", choices=("json",), default="json")
     p_rep.add_argument("--out", type=str, default=None)
     p_rep.set_defaults(func=cmd_reproduce)
 
     return parser
+
+
+def _numerical_errors() -> tuple:
+    """What a failed numerical routine raises. numpy's LinAlgError is read
+    from ``sys.modules``: if numpy was never imported, none can be raised."""
+    numpy = sys.modules.get("numpy")
+    return (RuntimeError,) if numpy is None else (numpy.linalg.LinAlgError, RuntimeError)
 
 
 def main(argv=None) -> int:
@@ -501,7 +516,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (np.linalg.LinAlgError, RuntimeError) as exc:
+    except _numerical_errors() as exc:
         # LinAlgError subclasses ValueError: a failed numerical routine is
         # the program's fault, not the caller's.
         print(f"internal error: {exc}", file=sys.stderr)

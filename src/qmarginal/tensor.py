@@ -15,8 +15,9 @@ Conventions fixed here and relied on by every other module:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -48,6 +49,14 @@ TRACE_ATOL = 3 * NORM_ATOL
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def _stream_index(value, what: str) -> int:
+    """A seed or spawn index: an integer (not a float that would truncate) >= 0."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError(f"a {what} must be a non-negative integer, got {value}")
+    return value
 
 
 def _require_finite(arr: np.ndarray, what: str) -> None:
@@ -95,16 +104,22 @@ class SeededRng:
 
     Identical seed plus identical call sequence yields identical output.
     ``spawn(i)`` derives the i-th substream; substreams with different index
-    paths are statistically independent and individually reproducible.
+    paths are statistically independent and individually reproducible. A
+    substream is only its path ``(seed, i, j, ...)``: its numpy generator is
+    built on the first draw, so streams that are never drawn from cost
+    nothing. The seed and every index must be non-negative integers.
     """
 
     def __init__(self, seed: int, _path: tuple[int, ...] = ()):
-        self.seed = int(seed)
+        self.seed = _stream_index(seed, "seed")
         self._path = _path
-        self.generator = np.random.default_rng((self.seed, *_path))
+
+    @cached_property
+    def generator(self) -> np.random.Generator:
+        return np.random.default_rng((self.seed, *self._path))
 
     def spawn(self, index: int) -> "SeededRng":
-        return SeededRng(self.seed, (*self._path, int(index)))
+        return SeededRng(self.seed, (*self._path, _stream_index(index, "spawn index")))
 
     def complex_normal(self, shape) -> np.ndarray:
         """I.i.d. standard complex Gaussians, real and imaginary parts N(0,1)."""

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import qmarginal
-from qmarginal import cli
+from qmarginal import classical, cli, feasibility, uniqueness
 from qmarginal.claims import CLAIMS
 from qmarginal.cli import (
     EXIT_INCONCLUSIVE,
@@ -229,7 +229,7 @@ class TestWitnessFactors:
         def probe(*args, **kwargs):
             verdicts.append(uniqueness_probe(*args, **kwargs))
             return verdicts[-1]
-        monkeypatch.setattr(cli, "uniqueness_probe", probe)
+        monkeypatch.setattr(feasibility, "uniqueness_probe", probe)
         assert main(["check", "--state", str(fixture), "--mode", "oracle",
                      "--subsets", subsets, "--out", str(out)]) == EXIT_NEGATIVE
         oracle = load_json(out)["results"]["oracle"]
@@ -370,6 +370,24 @@ class TestUsage:
         code, _ = run(["frobnicate"], capsys)
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--n", "3", "--d", "2"],
+        ["check", "--n", "3", "--d", "2", "--subsets", "01,02,12"],
+        ["check", "--state", "STATE", "--subsets", "01,02,12"],
+        ["survey", "--n", "3", "--d", "2", "--subsets", "01,02,12", "--trials", "1"],
+        ["classical", "--n", "3", "--d", "2", "--epsilon", "0.01"],
+        ["reproduce", "--trials", "1"],
+    ], ids=["sample", "check-sized", "check-state", "survey", "classical", "reproduce"])
+    def test_negative_seed_is_refused_by_name(self, argv, tmp_path, capsys):
+        fixture = tmp_path / "state.json"
+        fixture.write_text(state_to_json(ghz_state(3)))
+        argv = [str(fixture) if a == "STATE" else a for a in argv]
+        code = main(argv + ["--seed", "-1"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: argument --seed: ")
+
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_reproduce_needs_a_trial(self, trials, capsys):
         code, out = run(["reproduce", "--seed", "1", "--trials", trials], capsys)
@@ -383,9 +401,9 @@ class TestUsage:
     def test_csv_without_a_table_rejected_before_any_work(self, command, monkeypatch,
                                                           capsys):
         calls = []
-        monkeypatch.setattr(cli, "uniqueness_probe", lambda *a, **k: calls.append(a))
-        monkeypatch.setattr(cli, "check_linear_uniqueness", lambda *a, **k: calls.append(a))
-        monkeypatch.setattr(cli.classical_mod, "counterexample_pair",
+        monkeypatch.setattr(feasibility, "uniqueness_probe", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(uniqueness, "check_linear_uniqueness", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(classical, "counterexample_pair",
                             lambda *a, **k: calls.append(a))
         code, out = run(command + ["--format", "csv"], capsys)
         assert code == EXIT_USAGE
@@ -422,7 +440,7 @@ class TestUsage:
     def test_numerical_failure_is_an_internal_error(self, monkeypatch, capsys):
         def failing_solver(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        monkeypatch.setattr(cli, "uniqueness_probe", failing_solver)
+        monkeypatch.setattr(feasibility, "uniqueness_probe", failing_solver)
         code = main(["check", "--n", "3", "--d", "2", "--mode", "oracle",
                      "--subsets", "01,02,12"])
         captured = capsys.readouterr()
@@ -433,7 +451,7 @@ class TestUsage:
     def test_out_of_memory_is_an_internal_error(self, monkeypatch, capsys):
         def exhausted(*args, **kwargs):
             raise MemoryError("Unable to allocate 4.00 GiB")
-        monkeypatch.setattr(cli, "uniqueness_probe", exhausted)
+        monkeypatch.setattr(feasibility, "uniqueness_probe", exhausted)
         code = main(["check", "--n", "3", "--d", "2", "--mode", "oracle",
                      "--subsets", "01,02,12"])
         captured = capsys.readouterr()

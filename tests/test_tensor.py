@@ -62,6 +62,41 @@ class TestSeededRng:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    def test_streams_are_pinned(self):
+        # A stream is a function of its seed and path alone: these draws must
+        # not move when how or when the generator is built changes.
+        assert SeededRng(7).complex_normal(2).tolist() == [
+            0.0012301533574825742 - 0.2741378553622176j,
+            0.2987455375084699 - 0.8905918387572742j]
+        assert SeededRng(7).spawn(2).spawn(5).complex_normal(2).tolist() == [
+            -0.4689786377090978 + 0.5295634858330021j,
+            -0.7501669601504666 - 0.5019199704747488j]
+        state = haar_random_state(PartySignature([2, 2, 2]), SeededRng(61))
+        assert state.vector()[:2].tolist() == [
+            -0.11668130104171431 - 0.1163861941734855j,
+            -0.21751999116967313 + 0.5722705169120162j]
+
+    def test_spawn_builds_no_generator(self):
+        parent = SeededRng(7)
+        child = parent.spawn(2).spawn(5)
+        assert "generator" not in vars(parent) and "generator" not in vars(child)
+        child.complex_normal(1)
+        assert "generator" in vars(child) and "generator" not in vars(parent)
+
+    @pytest.mark.parametrize("make,error", [
+        (lambda: SeededRng(-1), ValueError),
+        (lambda: SeededRng(1.5), TypeError),
+        (lambda: SeededRng(3).spawn(-2), ValueError),
+        (lambda: SeededRng(3).spawn(2.0), TypeError),
+    ], ids=["negative-seed", "float-seed", "negative-index", "float-index"])
+    def test_seed_and_index_checked_at_construction(self, make, error):
+        with pytest.raises(error):
+            make()
+
+    def test_numpy_integers_are_seeds(self):
+        a = SeededRng(np.int64(5)).spawn(np.uint8(1)).complex_normal(3)
+        assert np.array_equal(a, SeededRng(5).spawn(1).complex_normal(3))
+
 
 class TestHaarRandomState:
     def test_normalized(self):
