@@ -20,7 +20,10 @@ the marginal equations and verified directly against every constraint, so
 NON_UNIQUE is constructive. Of the verified witnesses, the one whose
 straight chord from the reference runs farthest through the feasible set
 (an eigenvalue formula) is pushed outward to a well-separated point, and
-the farthest verified point is reported.
+the farthest verified point is reported. The restarts' outcomes are
+measured, verified and ranked as stacks in the coordinates the restarts ran
+in; on a face ``K`` (below) only the marginals are checked on lifts to the
+whole space.
 
 UNIQUE is proved, where the marginals allow it, by one of two
 certificates. The first is facial reduction (Borwein & Wolkowicz 1981)
@@ -190,12 +193,14 @@ class MarginalConstraintSet:
     def covered_parties(self) -> set[int]:
         return set(p for s, _ in self.constraints for p in s)
 
-    def marginal_residual(self, x_mat: np.ndarray) -> float:
-        """Max Frobenius distance of constrained partial traces from targets."""
+    def marginal_residual(self, x_mat: np.ndarray):
+        """Max Frobenius distance of constrained partial traces from targets,
+        per matrix over the last two axes (batchable): one partial trace of
+        the whole stack per subset."""
         worst = 0.0
         for subset, target in self.constraints:
             diff = _partial_trace(x_mat, self.signature.dims, subset) - target.matrix
-            worst = max(worst, float(np.linalg.norm(diff)))
+            worst = np.maximum(worst, np.linalg.norm(diff, axis=(-2, -1)))
         return worst
 
 
@@ -574,23 +579,31 @@ def _parent_hamiltonian(psi: np.ndarray, op: ConstraintOperator,
     the null space, and takes up to ``_DUAL_STEPS`` normalized steps of
     gradient ascent on the unit sphere for ``lambda_min(H on psi-perp) - e``
     (the minimum smoothed by softmin weights), stopping as soon as the
-    certificate holds. ``B_l psi``, ``H``, the energies and the gradient
-    all come from the product-operator transform, with no stack of T x T
-    operators. Returns ``(holds, relative gap, H)``; ``H`` is None when no
-    candidate exists.
+    certificate holds. ``c`` stays in label coordinates: one thin SVD gives
+    the orthonormal rows ``R`` of the map's row space, and the energies and
+    each gradient are projected onto its complement as ``x - (x R^T) R``,
+    so no basis of the null space is formed. ``B_l psi``, ``H``, the
+    energies and the gradient all come from the product-operator transform,
+    with no stack of T x T operators. Returns ``(holds, relative gap, H)``;
+    ``H`` is None when no candidate exists.
     """
     t = len(psi)
     moved = op.operators_on(psi[:, None])[1:, :, 0]
     off = moved - np.outer(moved @ psi.conj(), psi)       # (I - psi psi^+) B_l psi
-    _, svals, vh = np.linalg.svd(np.concatenate([off.real, off.imag], axis=1).T)
-    null = vh[int(np.sum(svals > _GAP_ZERO * svals[0])):]
-    if len(null) == 0:
+    _, svals, vh = np.linalg.svd(np.concatenate([off.real, off.imag], axis=1).T,
+                                 full_matrices=False)
+    rows = vh[:int(np.sum(svals > _GAP_ZERO * svals[0]))]
+    if len(rows) == len(off):
         return False, 0.0, None
+
+    def onto_null(x):
+        return x - (x @ rows.T) @ rows
+
     perp = np.linalg.svd(psi.conj()[None, :])[2][1:].conj().T
-    energy = null @ op.coefficients(np.outer(psi, psi.conj()))[1:]
+    energy = onto_null(op.coefficients(np.outer(psi, psi.conj()))[1:])
     a = -energy / np.linalg.norm(energy)
     for step in range(_DUAL_STEPS + 1):
-        h = op._combination(np.concatenate([[0.0], a @ null]))
+        h = op._combination(np.concatenate([[0.0], a]))
         vals = np.linalg.eigvalsh(h)
         l0, l1, lmax = vals[0], vals[1], vals[-1]
         rel = float((l1 - l0) / (lmax - l0))
@@ -603,7 +616,7 @@ def _parent_hamiltonian(psi: np.ndarray, op: ConstraintOperator,
         mu, w = np.linalg.eigh(perp.conj().T @ h @ perp)
         weights = np.exp(-(mu - mu[0]) / (0.05 * max(mu[-1] - mu[0], 1e-12)))
         smoothed = (w * (weights / weights.sum())) @ w.conj().T
-        grad = null @ op.coefficients(perp @ smoothed @ perp.conj().T)[1:] - energy
+        grad = onto_null(op.coefficients(perp @ smoothed @ perp.conj().T)[1:]) - energy
         grad -= (grad @ a) * a
         norm = float(np.linalg.norm(grad))
         if norm < 1e-15:
@@ -617,52 +630,64 @@ class _FaceOperator:
     """The marginal constraints on ``E`` for states ``V E V^+`` on ``K``.
 
     It has the projections and the weighted system of
-    :class:`ConstraintOperator` over the k x k matrices ``E``, so the
-    restarts and the polish run on it unchanged. Its constraints are the
-    rows of ``rows``, orthonormal in the coefficients of ``E`` over the unit
-    Gell-Mann basis of ``Herm(k)`` (the product-operator transform on dims
-    ``(k,)``), with ``target`` and ``weights`` as on ``ConstraintOperator``. The
-    restricted map (:func:`_restricted_map` of ``op`` on the T x k basis
-    ``V``) is scaled by the square roots of the weights and
-    factored as ``U S W^T``, keeping the singular values that reach
-    ``_GAP_MIN``: ``rows = W^T``, ``target = S^-1 U^T (sqrt(w) c)`` and
-    ``weights = S^2``, so the weighted residual of ``E`` is the one
-    ``ConstraintOperator`` measures on ``V E V^+``. The weighted rows and
-    target, and the weighted operators they combine into, are computed
-    once here: every polish of the probe reads them.
+    :class:`ConstraintOperator` over the k x k matrices ``E`` (batchable),
+    so the restarts and the polish run on it unchanged. Its constraints are
+    the rows of ``rows``, orthonormal in the coefficients of ``E`` over the
+    unit Gell-Mann basis of ``Herm(k)`` (the product-operator transform on
+    dims ``(k,)``), with ``target`` and ``weights`` as on
+    ``ConstraintOperator``. The restricted map (:func:`_restricted_map` of
+    ``op`` on the T x k basis ``V``) is scaled by the square roots of the
+    weights and factored as ``U S W^T``, keeping the singular values that
+    reach ``_GAP_MIN``: ``rows = W^T``, ``target = S^-1 U^T (sqrt(w) c)``
+    and ``weights = S^2``, so the weighted residual of ``E`` is the one
+    ``ConstraintOperator`` measures on ``V E V^+``.
+
+    Only ``__init__`` runs transforms: it combines the rows, plain and
+    weighted, into k x k operators ``O_j``. The rows are orthonormal, so
+    each projection is one product of the flattened ``E`` with the matrix
+    of ``E -> E - sum_j Tr(O_j E) O_j`` (plus ``sum_j target_j O_j`` for the
+    affine one), and the weighted residual is one product with the weighted
+    operators, whose ``A^+ O_j`` are also the polish's Jacobian rows.
     """
 
     def __init__(self, op: ConstraintOperator, basis: np.ndarray, restricted: np.ndarray):
         sqrt_w = np.sqrt(op.weights)
         u, s, wt = np.linalg.svd(sqrt_w[:, None] * restricted, full_matrices=False)
         keep = s >= _GAP_MIN
-        self.total_dim = basis.shape[1]
-        self.dims = (self.total_dim,)
+        k = basis.shape[1]
+        self.total_dim = k
+        self.dims = (k,)
         self.rows = wt[keep]
         self.target = u[:, keep].T @ (sqrt_w * op.target) / s[keep]
         self.weights = s[keep] ** 2
         face_sqrt_w = np.sqrt(self.weights)
-        self._rows_w = self.rows * face_sqrt_w[:, None]
         self._target_w = self.target * face_sqrt_w
-        self._weighted_ops = _freeze(_product_combination(self._rows_w, self.dims))
+        self._weighted_ops = _freeze(_product_combination(
+            self.rows * face_sqrt_w[:, None], self.dims))
+        ops = _product_combination(self.rows, self.dims).reshape(len(self.rows), k * k)
+        # Tr(O_j E) is the flattened E times conj(O_j), as the O_j are Hermitian.
+        self._kernel = _freeze(np.eye(k * k) - ops.conj().T @ ops)
+        self._offset = _freeze(self.target @ ops)
+        self._measure = _freeze(self._weighted_ops.reshape(len(self.rows), k * k).conj().T)
 
     def project(self, e_mat: np.ndarray) -> np.ndarray:
-        e = _product_coefficients(e_mat, self.dims)
-        return _product_combination(e - (e @ self.rows.T - self.target) @ self.rows, self.dims)
+        flat = e_mat.reshape(e_mat.shape[:-2] + (-1,))
+        return (flat @ self._kernel + self._offset).reshape(e_mat.shape)
 
     def project_kernel(self, g_mat: np.ndarray) -> np.ndarray:
-        g = _product_coefficients(g_mat, self.dims)
-        return _product_combination(g - (g @ self.rows.T) @ self.rows, self.dims)
+        return (g_mat.reshape(g_mat.shape[:-2] + (-1,)) @ self._kernel).reshape(g_mat.shape)
 
     def weighted_products(self, a: np.ndarray) -> np.ndarray:
         return a.conj().T @ self._weighted_ops
 
     def weighted_residual(self, e_mat: np.ndarray) -> np.ndarray:
-        return self._rows_w @ _product_coefficients(e_mat, self.dims) - self._target_w
+        flat = e_mat.reshape(e_mat.shape[:-2] + (-1,))
+        return (flat @ self._measure).real - self._target_w
 
 
 def _lift(x: np.ndarray, basis: np.ndarray | None) -> np.ndarray:
-    """``V x V^+``; ``x`` itself when the restarts ran on the whole space."""
+    """``V x V^+`` over the last two axes (batchable); ``x`` itself when the
+    restarts ran on the whole space."""
     return x if basis is None else basis @ x @ basis.conj().T
 
 
@@ -695,11 +720,13 @@ def _gauss_newton_polish(a: np.ndarray, op: ConstraintOperator):
         if res < 1e-14 or point == _POLISH_STEPS - 1:
             break
         # Row k, direction E = e_i e_j^T (or i times it): the change of
-        # Tr(Q_k (E A^+ + A E^+)) is 2 Re (or -2 Im) of (A^+ Q_k)[j, i].
+        # Tr(Q_k (E A^+ + A E^+)) is 2 Re (or -2 Im) of (A^+ Q_k)[j, i],
+        # the pair that the real view of conj(A^+ Q_k) interleaves; the
+        # step's complex view pairs the two directions back into entries.
         g = op.weighted_products(a)
-        jac = 2 * np.stack([g.real, -g.imag], axis=-1).reshape(len(g), -1)
+        jac = 2 * g.conj().reshape(len(g), -1).view(np.float64)
         step, *_ = np.linalg.lstsq(jac, -f, rcond=None)
-        da = (step[0::2] + 1j * step[1::2]).reshape(rank, t).T
+        da = step.view(np.complex128).reshape(rank, t).T
         # Halve the step until the residual drops; the 21st, smallest step
         # is taken unchecked.
         scale = 1.0
@@ -714,32 +741,37 @@ def _gauss_newton_polish(a: np.ndarray, op: ConstraintOperator):
     return best_w, best_res
 
 
-def _certify(candidate: np.ndarray, op: ConstraintOperator):
-    """Polish a candidate into an exactly PSD, constraint-consistent matrix.
+def _certify(candidates: np.ndarray, op: ConstraintOperator) -> list[np.ndarray | None]:
+    """Polish each candidate of a stack into an exactly PSD,
+    constraint-consistent matrix.
 
-    One ``eigh`` of the symmetrised candidate gives its numerical rank
-    ``r0`` (eigenvalues above 1e-2 of the largest) and, for each rank
-    tried (``r0``, ``r0 + 2``, then T), the starting factor of
+    One batched ``eigh`` of the symmetrised candidates gives each its
+    numerical rank ``r0`` (eigenvalues above 1e-2 of the largest) and, for
+    each rank tried (``r0``, ``r0 + 2``, then T), the starting factor of
     :func:`_gauss_newton_polish`: the leading eigenvectors scaled by the
-    square roots of their eigenvalues, clipped at 1e-30. Returns the first polished
-    matrix whose residual is below ``_CERT_TOL``, or None.
+    square roots of their eigenvalues, clipped at 1e-30. Each candidate is
+    polished on its own. Returns, per candidate, the first polished matrix
+    whose residual is below ``_CERT_TOL``, or None.
     """
-    t = candidate.shape[0]
-    vals, vecs = np.linalg.eigh((candidate + candidate.conj().T) / 2)
-    r0 = int(np.sum(vals > 1e-2 * max(vals.max(), 1e-30)))
-    order = np.argsort(vals)[::-1]
-    for rank in dict.fromkeys([max(r0, 1), min(max(r0, 1) + 2, t), t]):
-        top = order[:rank]
-        a = vecs[:, top] * np.sqrt(np.maximum(vals[top], 1e-30))
-        w, res = _gauss_newton_polish(a, op)
-        if res < _CERT_TOL:
-            return w
-    return None
+    t = candidates.shape[-1]
+    vals, vecs = np.linalg.eigh((candidates + np.swapaxes(candidates.conj(), -2, -1)) / 2)
+    polished = []
+    for val, vec in zip(vals, vecs):
+        r0 = int(np.sum(val > 1e-2 * max(val.max(), 1e-30)))
+        order = np.argsort(val)[::-1]
+        for rank in dict.fromkeys([max(r0, 1), min(max(r0, 1) + 2, t), t]):
+            top = order[:rank]
+            w, res = _gauss_newton_polish(vec[:, top] * np.sqrt(np.maximum(val[top], 1e-30)), op)
+            if res < _CERT_TOL:
+                break
+        polished.append(w if res < _CERT_TOL else None)
+    return polished
 
 
-def _exit_parameter(psi: np.ndarray, w: np.ndarray) -> float:
+def _exit_parameter(psi: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Where the ray ``R + t (W - R)`` from ``R = psi psi^+`` through a PSD
-    ``W`` leaves the PSD cone.
+    ``W`` leaves the PSD cone, for each ``W`` over the last two axes
+    (batchable: one ``eigh`` of the stack).
 
     For ``t > 1`` the point is ``t W - (t - 1) psi psi^+``, which is PSD
     exactly when ``psi`` lies in the range of ``W`` and ``t <= m / (m - 1)``
@@ -747,13 +779,12 @@ def _exit_parameter(psi: np.ndarray, w: np.ndarray) -> float:
     the ray leaves at ``t = 1``. Trace distance from ``R`` grows linearly
     along the ray, so the feasible chord through ``W`` reaches ``t D(W, R)``.
     """
-    vals, vecs = np.linalg.eigh((w + w.conj().T) / 2)
-    weight = np.abs(vecs.conj().T @ psi) ** 2
+    vals, vecs = np.linalg.eigh((w + np.swapaxes(w.conj(), -2, -1)) / 2)
+    weight = np.abs(np.swapaxes(vecs.conj(), -2, -1) @ psi) ** 2
     zero = vals <= _GAP_ZERO
-    if weight[zero].sum() > _GAP_ZERO:
-        return 1.0
-    m = float(np.sum(weight[~zero] / vals[~zero]))
-    return m / (m - 1) if m > 1 else np.inf
+    m = np.sum(weight / np.where(zero, np.inf, vals), axis=-1)
+    chord = np.divide(m, m - 1, out=np.full_like(m, np.inf), where=m > 1)
+    return np.where(np.sum(weight * zero, axis=-1) > _GAP_ZERO, 1.0, chord)
 
 
 def _pursue_far(reference: np.ndarray, witness: np.ndarray,
@@ -773,8 +804,7 @@ def _pursue_far(reference: np.ndarray, witness: np.ndarray,
     for _ in range(_PURSUIT_ROUNDS):
         improved = False
         for step in (1.0, 0.5, 0.25):
-            candidate = current + step * (current - reference)
-            polished = _certify(candidate, op)
+            [polished] = _certify((current + step * (current - reference))[None], op)
             if polished is None:
                 continue
             d_new = trace_distance(polished, reference)
@@ -787,20 +817,57 @@ def _pursue_far(reference: np.ndarray, witness: np.ndarray,
     return current
 
 
-def _verify_witness(w: np.ndarray, op: ConstraintOperator,
-                    config: ProjectionConfig) -> bool:
-    if op.constraints.marginal_residual(w) > config.convergence_tol:
-        return False
-    if abs(float(np.trace(w).real) - 1.0) > 1e-9:
-        return False
-    return float(np.linalg.eigvalsh(w)[0]) >= -_PSD_VERIFY_ATOL
+def _measure_block(rho: np.ndarray, psi: np.ndarray, basis: np.ndarray | None) -> np.ndarray:
+    """``rho = psi psi^+`` where :func:`_distances` measures: itself on the
+    whole space; on a face, ``b b^+`` with ``b = (V^+ psi, |psi - V V^+ psi|)``,
+    ``psi`` in an orthonormal basis ``[V, u]`` of ``span(V, psi)``."""
+    if basis is None:
+        return rho
+    c = basis.conj().T @ psi
+    b = np.append(c, np.linalg.norm(psi - basis @ c))
+    return np.outer(b, b.conj())
 
 
-def _as_density(w: np.ndarray, signature: PartySignature) -> DensityMatrix:
-    # Strip verification-level rounding so the strict type invariants hold.
+def _distances(x: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Trace distance from ``rho`` of each lifted ``V X V^+`` of a stack,
+    from one batched ``eigvalsh``. ``V X V^+ - psi psi^+`` lies in
+    ``span(V, psi)``, where it is ``X`` padded with a zero row and column
+    minus ``block``: the same nonzero eigenvalues as the T x T difference,
+    also when ``psi`` has weight outside K."""
+    k = x.shape[-1]
+    diff = np.zeros(x.shape[:-2] + block.shape, dtype=complex)
+    diff[..., :k, :k] = x
+    diff -= block
+    return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1)
+
+
+def _verify_witness(w: np.ndarray, basis: np.ndarray | None, op: ConstraintOperator,
+                    config: ProjectionConfig):
+    """Check a stack of polished matrices, in the restarts' coordinates, as
+    states with the prescribed marginals: lifted, each meets every
+    constrained marginal within ``config.convergence_tol`` (one partial
+    trace of the stack per subset) and has unit trace within 1e-9; its
+    smallest eigenvalue, read before the lift (which adds only zeros),
+    reaches ``-_PSD_VERIFY_ATOL``. Returns ``(verified, residuals,
+    eigenvalues)`` per matrix."""
+    lifted = _lift(w, basis)
+    residuals = op.constraints.marginal_residual(lifted)
+    traces = np.trace(lifted, axis1=-2, axis2=-1).real
+    vals = np.linalg.eigvalsh(w)
+    verified = (residuals <= config.convergence_tol) & (np.abs(traces - 1.0) <= 1e-9) & \
+        (vals[..., 0] >= -_PSD_VERIFY_ATOL)
+    return verified, residuals, vals
+
+
+def _as_density(w: np.ndarray, signature: PartySignature, eigvals: np.ndarray) -> DensityMatrix:
+    """A verified witness as a density matrix, symmetrised and scaled to
+    unit trace so that the strict type invariants hold. Its checks read the
+    eigenvalues that :func:`_verify_witness` took, not a T x T ``eigvalsh``."""
     w = (w + w.conj().T) / 2
-    w = w / np.trace(w).real
-    return DensityMatrix(signature, w)
+    trace = np.trace(w).real
+    w = w / trace
+    _check_density(w, eigvals / trace)
+    return DensityMatrix._checked(signature, w)
 
 
 @dataclass(frozen=True)
@@ -815,7 +882,9 @@ class RunRecord:
     without a witness). ``converged`` and ``iterations`` are the
     Dykstra run's stop flag and cycle count; ``distance`` is the trace
     distance of its last PSD-side iterate, lifted to the whole space, from
-    the reference.
+    the reference. On a face it is measured in ``span(V, psi)``, a
+    (k+1) x (k+1) problem (:func:`_distances`), which equals the lifted
+    T x T distance up to rounding; the lift itself is never formed.
     """
 
     outcome: str
@@ -880,9 +949,11 @@ def uniqueness_probe(pure_state: AmplitudeTensor,
     state perturbed along random constraint-kernel directions (where any
     second consistent state must live), reprojected by the solver; when the
     face certificate read a proper subspace ``K`` without ambiguity, all of
-    this runs on the k x k matrices of ``Herm(K)``, and each outcome is
-    lifted back to the whole space before it is measured or verified.
-    UNIQUE requires every
+    this runs on the k x k matrices of ``Herm(K)``, and so does what
+    follows: the runs' distances, the polish starts, the PSD checks and the
+    exit chords each come from one batched decomposition of k x k (for
+    distances (k+1) x (k+1)) matrices, and only the witnesses' marginals
+    are checked on their lifts to the whole space. UNIQUE requires every
     restart to converge back to the reference within the distinctness
     tolerance; NON_UNIQUE requires a directly verified distinct witness,
     and only the verified witness with the longest exit chord is pushed
@@ -925,46 +996,63 @@ def uniqueness_probe(pure_state: AmplitudeTensor,
     outs, iters, conv = _dykstra_batch(
         np.array(starts), search, config.max_iterations, config.convergence_tol)
 
+    psi = pure_state.vector()
+    block = _measure_block(rho.matrix, psi, basis)
+    dists = _distances(outs, block)
+    # Each run that ended away from the reference is polished; the polished
+    # points are verified and measured together.
+    away = np.flatnonzero(dists > tol)
+    polished = _certify(outs[away], search) if len(away) else []
+    fit = [j for j, w in enumerate(polished) if w is not None]
+    found = np.zeros(len(starts), dtype=bool)
+    if fit:
+        points = np.array([polished[j] for j in fit])
+        verified, residuals, vals = _verify_witness(points, basis, op, config)
+        reach = _distances(points, block)
+        keep = verified & (reach > tol)
+        found[away[fit][keep]] = True
+        points, residuals, vals, reach = points[keep], residuals[keep], vals[keep], reach[keep]
+
     runs: list[RunRecord] = []
-    found: list[tuple[float, np.ndarray, np.ndarray]] = []    # (distance, polished, lifted)
     for i in range(len(starts)):
         converged = bool(conv[i])
-        dist = trace_distance(_lift(outs[i], basis), rho.matrix)
         # A restart stopped by the iteration cap proves nothing by where it
         # stopped; only a verified witness can come of it.
-        if dist <= tol:
-            outcome = RETURNED_REFERENCE if converged else RUN_NOT_CONVERGED
+        if found[i]:
+            outcome = WITNESS
+        elif not converged:
+            outcome = RUN_NOT_CONVERGED
         else:
-            outcome = RUN_INCONCLUSIVE if converged else RUN_NOT_CONVERGED
-            polished = _certify(outs[i], search)
-            if polished is not None:
-                lifted = _lift(polished, basis)
-                away = trace_distance(lifted, rho.matrix)
-                if _verify_witness(lifted, op, config) and away > tol:
-                    found.append((away, polished, lifted))
-                    outcome = WITNESS
-        runs.append(RunRecord(outcome, converged, int(iters[i]), dist))
+            outcome = RETURNED_REFERENCE if dists[i] <= tol else RUN_INCONCLUSIVE
+        runs.append(RunRecord(outcome, converged, int(iters[i]), float(dists[i])))
     if certified_by:
         # Every restart would start at the reference, so the one run stands
         # for all of them.
         runs *= config.restarts
 
     face_dim = search.total_dim
-    if found:
+    if found.any():
         # Push outward only the witness with the longest feasible chord
         # from the reference; report the farthest verified point.
-        psi = pure_state.vector() if basis is None else basis.conj().T @ pure_state.vector()
-        _, start, _ = max(found, key=lambda f: _exit_parameter(psi, f[1]) * f[0])
-        far = _lift(_pursue_far(reference, start, search), basis)
-        candidates = [(away, lifted) for away, _, lifted in found]
-        if _verify_witness(far, op, config):
-            candidates.append((trace_distance(far, rho.matrix), far))
-        _, best = max(candidates, key=lambda c: c[0])
-        listed = (rho, _as_density(best, signature))
-        return _finish(NON_UNIQUE, listed, op, runs, gap, face_dim)
+        psi_s = psi if basis is None else basis.conj().T @ psi
+        start = points[np.argmax(_exit_parameter(psi_s, points) * reach)]
+        best = int(np.argmax(reach))
+        w, residual, eigvals, distance = points[best], residuals[best], vals[best], reach[best]
+        far = _pursue_far(reference, start, search)[None]
+        verified, far_residual, far_vals = _verify_witness(far, basis, op, config)
+        if verified[0]:
+            far_reach = _distances(far, block)[0]
+            if far_reach > distance:
+                w, residual, eigvals, distance = far[0], far_residual[0], far_vals[0], far_reach
+        listed = (rho, _as_density(_lift(w, basis), signature, eigvals))
+        return FeasibilityVerdict(NON_UNIQUE, listed, float(residual), (float(distance),),
+                                  tuple(runs), DECIDED_BY_DYKSTRA, gap, face_dim)
+    # The reference's residual is exactly 0: its targets are its own partial traces.
     if all(r.outcome == RETURNED_REFERENCE for r in runs):
-        return _finish(UNIQUE, (rho,), op, runs, gap, face_dim, certified_by)
-    return _finish(INCONCLUSIVE, (rho,), op, runs, gap, face_dim)
+        return FeasibilityVerdict(UNIQUE, (rho,), 0.0, (), tuple(runs),
+                                  certified_by or DECIDED_BY_DYKSTRA, gap, face_dim)
+    return FeasibilityVerdict(INCONCLUSIVE, (rho,), 0.0, (), tuple(runs),
+                              DECIDED_BY_DYKSTRA, gap, face_dim)
 
 
 def _kernel_start(reference: np.ndarray, op: ConstraintOperator,
@@ -979,20 +1067,6 @@ def _kernel_start(reference: np.ndarray, op: ConstraintOperator,
     if knorm < 1e-14:
         return reference.copy()
     return reference + _PERTURBATION_SCALE * kdir / knorm
-
-
-def _finish(verdict: str, witnesses: tuple[DensityMatrix, ...],
-            op: ConstraintOperator, runs: list[RunRecord], gap: float,
-            face_dim: int, certified_by: str | None = None) -> FeasibilityVerdict:
-    # The reference's residual is exactly 0: its targets are its own partial traces.
-    residual = max([0.0] + [op.constraints.marginal_residual(w.matrix)
-                            for w in witnesses[1:]])
-    pairwise = tuple(
-        trace_distance(witnesses[i].matrix, witnesses[j].matrix)
-        for i in range(len(witnesses)) for j in range(i + 1, len(witnesses))
-    )
-    return FeasibilityVerdict(verdict, witnesses, residual, pairwise, tuple(runs),
-                              certified_by or DECIDED_BY_DYKSTRA, gap, face_dim)
 
 
 def _uncovered_verdict(state: AmplitudeTensor, rho: DensityMatrix,

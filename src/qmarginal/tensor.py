@@ -253,15 +253,17 @@ def partial_trace_matrix(mat: np.ndarray, dims: Sequence[int], keep: Sequence[in
 
 def _partial_trace(mat: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:
     """:func:`partial_trace_matrix` for integer ``dims`` and a ``keep``
-    that :func:`_validate_subset` already returned."""
+    that :func:`_validate_subset` already returned, over the last two axes
+    (batchable)."""
     n = len(dims)
-    t = np.asarray(mat, dtype=complex).reshape(dims + dims)
+    mat = np.asarray(mat, dtype=complex)
+    lead = mat.shape[:-2]
     row = list(range(n))
     col = [n + p if p in keep else p for p in range(n)]
     out = [p for p in keep] + [n + p for p in keep]
-    reduced = np.einsum(t, row + col, out)
+    reduced = np.einsum(mat.reshape(lead + dims + dims), [...] + row + col, [...] + out)
     dk = math.prod(dims[p] for p in keep)
-    return reduced.reshape(dk, dk)
+    return reduced.reshape(lead + (dk, dk))
 
 
 def coarse_grain(state: AmplitudeTensor, group_sizes: Sequence[int]) -> AmplitudeTensor:

@@ -695,7 +695,7 @@ class TestRowsFree:
         finally:
             tracemalloc.stop()
         assert held and gap >= _GAP_MIN
-        assert peak < 64 * 2 ** 20
+        assert peak < 12 * 2 ** 20
 
     def test_seven_qubit_certified_probe_stays_small(self):
         # A dense matrix of the 1984 pinned rows alone would take 260 MB.
@@ -775,10 +775,11 @@ class TestOnePass:
         monkeypatch.setattr(face_op, "weighted_products", weighted_products)
         verdict = uniqueness_probe(ghz_state(3), PAIRS3, rng=SeededRng(1))
         assert verdict.verdict == NON_UNIQUE and verdict.face_dim == 2
-        # 8 restarts and 7 pursuit candidates, one eigh each and no eigvalsh;
-        # one face operator, whose one weighted stack each of the 22
-        # Gauss-Newton steps reads; 37 points evaluated, none of them twice.
-        assert per_certify == [(1, 0)] * 15
+        # One call for the stack of 8 restarts and one for each of the 7
+        # pursuit candidates, one eigh each and no eigvalsh; one face
+        # operator, whose one weighted stack each of the 22 Gauss-Newton
+        # steps reads; 37 points evaluated, none of them twice.
+        assert per_certify == [(1, 0)] * 8
         assert calls["faces"] == 1 and calls["lstsq"] == len(stacks) == 22
         assert all(stack is stacks[0] for stack in stacks)
         assert len(points) == len(set(points)) == 37
@@ -822,6 +823,102 @@ class TestOnePass:
         rho = DensityMatrix(PartySignature(dims), np.diag(diag.reshape(-1)).astype(complex))
         with pytest.raises(ValueError, match="matrix has negative eigenvalue"):
             MarginalConstraintSet._from_density(rho, [subset])
+
+
+def leaky_ghz_state(eps=9e-7):
+    """The 4-qubit GHZ state plus an amplitude ``eps`` on |0101>. Each ring
+    marginal gains the eigenvalue eps^2 = 8.1e-13 on a vector that the GHZ
+    state's environment never meets, below ``_GAP_ZERO``: K stays
+    span{|0000>, |1111>} while psi has weight eps^2 outside it."""
+    vec = np.zeros(16, dtype=complex)
+    vec[0] = vec[15] = np.sqrt((1 - eps ** 2) / 2)
+    vec[5] = eps
+    return AmplitudeTensor.from_vector(vec, [2] * 4)
+
+
+def parity_ghz_state(seed):
+    """The ``ghz_pairs`` states of ``tests/test_probe_parity.py``."""
+    rng = np.random.default_rng(300 + seed)
+    a = float(np.sqrt(rng.uniform(0.2, 0.8)))
+    u = np.kron(np.kron(haar_unitary(rng, 2), haar_unitary(rng, 2)), haar_unitary(rng, 2))
+    return AmplitudeTensor.from_vector(u @ ghz_state(3, a).vector(), [2, 2, 2])
+
+
+FACE_CASES = {f"ghz_pairs-{seed}": (parity_ghz_state(seed), PAIRS3, False)
+              for seed in range(5)}
+FACE_CASES["leaky-ghz4-ring"] = (leaky_ghz_state(), RING4, True)
+
+
+class TestFaceMeasures:
+    @pytest.mark.parametrize("state, subsets, leaks", FACE_CASES.values(), ids=FACE_CASES)
+    def test_distances_equal_the_lifted_trace_distance(self, monkeypatch, state, subsets,
+                                                       leaks):
+        # Every distance the probe measures (runs, witnesses, the pursued
+        # point) is taken in span(V, psi); each must equal the T x T trace
+        # distance of the lifted matrix from rho.
+        faces, measured = [], []
+        real_face, real_distances = feasibility._face_certificate, feasibility._distances
+
+        def face_certificate(*args):
+            out = real_face(*args)
+            faces.append(out[2])
+            return out
+
+        def distances(x, block):
+            out = real_distances(x, block)
+            measured.append((x.copy(), out))
+            return out
+
+        monkeypatch.setattr(feasibility, "_face_certificate", face_certificate)
+        monkeypatch.setattr(feasibility, "_distances", distances)
+        verdict = uniqueness_probe(state, subsets, rng=SeededRng(1))
+        assert verdict.verdict == NON_UNIQUE and verdict.face_dim == 2
+        [face] = faces
+        rho = to_density(state).matrix
+        outside = np.linalg.norm(state.vector() - face @ (face.conj().T @ state.vector()))
+        assert (outside > 1e-8) == leaks
+        assert [r.distance for r in verdict.runs] == list(measured[0][1])
+        missed = 0.0
+        for stack, got in measured:
+            for x, d in zip(stack, got):
+                assert abs(d - trace_distance(face @ x @ face.conj().T, rho)) <= 1e-12
+                missed = max(missed, abs(d - trace_distance(x, face.conj().T @ rho @ face)))
+        assert abs(verdict.pairwise_distances[0] -
+                   trace_distance(verdict.witnesses[1].matrix, rho)) <= 1e-12
+        # Off the face, the bare k x k difference against V^+ rho V misses
+        # the weight of psi outside K.
+        assert (missed > 1e-12) == leaks
+
+    def test_seven_qubit_ghz_ring_decomposes_no_whole_space_matrix_but_the_support_sum(
+            self, monkeypatch):
+        n, t = 7, 2 ** 7
+        ring = [(i, (i + 1) % n) for i in range(n)]
+        uniqueness_probe(ghz_state(n), ring, rng=SeededRng(1))      # warm the layout
+        decompositions, transforms = [], []
+        for name in ("eigh", "eigvalsh"):
+            def counted(x, *args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+                decompositions.append((_name, np.shape(x)[-1]))
+                return _real(x, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        built = []
+        for name in ("_product_coefficients", "_product_combination"):
+            def transform(*args, _real=getattr(feasibility, name), _name=name):
+                if built:
+                    transforms.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(feasibility, name, transform)
+
+        def init(self, *args, _real=feasibility._FaceOperator.__init__):
+            _real(self, *args)
+            built.append(self)
+
+        monkeypatch.setattr(feasibility._FaceOperator, "__init__", init)
+        verdict = uniqueness_probe(ghz_state(n), ring, rng=SeededRng(1))
+        assert verdict.verdict == NON_UNIQUE and verdict.face_dim == 2
+        # The support sum's eigh is the only T x T decomposition, and once
+        # the face operator is built no product-operator transform runs.
+        assert [call for call in decompositions if call[1] == t] == [("eigh", t)]
+        assert len(built) == 1 and transforms == []
 
 
 @pytest.fixture
@@ -897,8 +994,10 @@ class TestWholeSpacePolish:
         start[0, 0] = start[-1, -1] = 0.5
         noise = random_hermitian(np_rng, t)
         start += 0.02 * noise / np.linalg.norm(noise)
-        w = feasibility._certify(start, op)
-        assert w is not None and _verify_witness(w, op, ProjectionConfig())
+        [w] = feasibility._certify(start[None], op)
+        assert w is not None
+        verified, residuals, _ = _verify_witness(w[None], None, op, ProjectionConfig())
+        assert verified[0] and residuals[0] == op.constraints.marginal_residual(w)
         assert op.constraints.marginal_residual(w) < 1e-13
         assert abs(trace_distance(w, to_density(state).matrix) - 0.5) < 0.01
 

@@ -150,6 +150,12 @@ WHOLE_SPACE = ('UNIQUE', 'dykstra', 8, [
     1.0000000000672713e-06)
 
 
+# The paper's GHZ-type counterexample at 9 qubits, from its ring of pair
+# marginals (i, i+1 mod 9): a 2-dimensional face whose restarts take 1 or 27
+# cycles, and a restricted map with a null singular value.
+RING9 = ('NON_UNIQUE', 'dykstra', 2, witnesses(27, 27, 27, 1, 1, 27, 1, 27), 0.0)
+
+
 def outcome(verdict):
     return (verdict.verdict, verdict.decided_by, verdict.face_dim,
             [(r.outcome, r.iterations) for r in verdict.runs])
@@ -170,3 +176,11 @@ def test_whole_space_restarts_match_the_recorded_iterations():
     verdict = uniqueness_probe(ambiguous_state(), PAIRS3, config, rng=SeededRng(1))
     assert list(outcome(verdict)) == want
     assert verdict.certificate_gap == pytest.approx(gap, rel=1e-12)
+
+
+def test_nine_qubit_ghz_ring_matches_the_recorded_outcome():
+    *want, gap = RING9
+    ring = [(i, (i + 1) % 9) for i in range(9)]
+    verdict = uniqueness_probe(ghz_state(9), ring, rng=SeededRng(1))
+    assert list(outcome(verdict)) == want
+    assert verdict.certificate_gap == pytest.approx(gap, rel=1e-12, abs=1e-15)
