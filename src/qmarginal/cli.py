@@ -64,6 +64,9 @@ _NOT_ECHOED = frozenset({"command", "func", "out", "format"})
 
 # A witness factor keeps the eigenvalues above this fraction of the largest.
 _FACTOR_RTOL = 1e-12
+# Entries of a witness factor's column within this relative distance of its
+# largest magnitude count as tied for the lead that fixes its phase.
+_PHASE_RTOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -158,11 +161,22 @@ def _parse_range(text: str, name: str) -> list[int]:
 def _witness_factor(w: np.ndarray) -> np.ndarray:
     """The T x r factor A with ``W = A A^dagger``: W's eigenvectors, each
     scaled by the square root of its eigenvalue, for the eigenvalues above
-    ``_FACTOR_RTOL`` times the largest, in ascending order."""
+    ``_FACTOR_RTOL`` times the largest, in ascending order.
+
+    Each column's phase is fixed, not left to ``eigh``: its leading entry,
+    the first whose magnitude is within ``_PHASE_RTOL`` of the column's
+    largest, is made real and positive. Entries tied in magnitude (a GHZ
+    witness has two) then do not trade the lead under a rounding-level
+    change of W, so neither does the reported sign."""
     import numpy as np
     vals, vecs = np.linalg.eigh(w)
     keep = vals > _FACTOR_RTOL * vals[-1]
-    return vecs[:, keep] * np.sqrt(vals[keep])
+    a = vecs[:, keep] * np.sqrt(vals[keep])
+    mags = np.abs(a)
+    lead = a[np.argmax(mags >= (1 - _PHASE_RTOL) * mags.max(axis=0), axis=0),
+             np.arange(a.shape[1])]
+    # + 0.0 keeps a rotated zero's -0.0 out of the report.
+    return a * (np.abs(lead) / lead) + 0.0
 
 
 def _write(text: str, out_path: str | None) -> None:

@@ -787,8 +787,8 @@ def _exit_parameter(psi: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.where(np.sum(weight * zero, axis=-1) > _GAP_ZERO, 1.0, chord)
 
 
-def _pursue_far(reference: np.ndarray, witness: np.ndarray,
-                op: ConstraintOperator) -> np.ndarray:
+def _pursue_far(reference: np.ndarray, block: np.ndarray, witness: np.ndarray,
+                distance: float, op: ConstraintOperator) -> tuple[np.ndarray, float]:
     """Push a certified witness outward through the feasible set.
 
     For up to ``_PURSUIT_ROUNDS`` rounds, extrapolates past the current
@@ -797,24 +797,26 @@ def _pursue_far(reference: np.ndarray, witness: np.ndarray,
     leaves close to the reference (its projections find *nearest* feasible
     points).
     ``uniqueness_probe`` calls it once per probe, on the verified restart
-    whose exit chord (:func:`_exit_parameter`) is longest.
+    whose exit chord (:func:`_exit_parameter`) is longest, with that
+    witness's ``distance``. Each candidate is measured by
+    :func:`_distances` against the probe's ``block``, the distance the
+    verdict reports. Returns the point reached and its distance.
     """
-    current = witness
-    dist = trace_distance(current, reference)
+    current, dist = witness, distance
     for _ in range(_PURSUIT_ROUNDS):
         improved = False
         for step in (1.0, 0.5, 0.25):
             [polished] = _certify((current + step * (current - reference))[None], op)
             if polished is None:
                 continue
-            d_new = trace_distance(polished, reference)
+            d_new = _distances(polished[None], block)[0]
             if d_new > 1.02 * dist:
                 current, dist = polished, d_new
                 improved = True
                 break
         if not improved:
             break
-    return current
+    return current, dist
 
 
 def _measure_block(rho: np.ndarray, psi: np.ndarray, basis: np.ndarray | None) -> np.ndarray:
@@ -1035,15 +1037,13 @@ def uniqueness_probe(pure_state: AmplitudeTensor,
         # Push outward only the witness with the longest feasible chord
         # from the reference; report the farthest verified point.
         psi_s = psi if basis is None else basis.conj().T @ psi
-        start = points[np.argmax(_exit_parameter(psi_s, points) * reach)]
+        start = int(np.argmax(_exit_parameter(psi_s, points) * reach))
         best = int(np.argmax(reach))
         w, residual, eigvals, distance = points[best], residuals[best], vals[best], reach[best]
-        far = _pursue_far(reference, start, search)[None]
-        verified, far_residual, far_vals = _verify_witness(far, basis, op, config)
-        if verified[0]:
-            far_reach = _distances(far, block)[0]
-            if far_reach > distance:
-                w, residual, eigvals, distance = far[0], far_residual[0], far_vals[0], far_reach
+        far, far_reach = _pursue_far(reference, block, points[start], reach[start], search)
+        verified, far_residual, far_vals = _verify_witness(far[None], basis, op, config)
+        if verified[0] and far_reach > distance:
+            w, residual, eigvals, distance = far, far_residual[0], far_vals[0], far_reach
         listed = (rho, _as_density(_lift(w, basis), signature, eigvals))
         return FeasibilityVerdict(NON_UNIQUE, listed, float(residual), (float(distance),),
                                   tuple(runs), DECIDED_BY_DYKSTRA, gap, face_dim)

@@ -17,6 +17,7 @@ elimination argument.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +50,7 @@ _PREFIX_FLOOR = 3
 # Multiple of rows * cols * eps * ||K||_F by which the certificate moves
 # each computed singular value and norm against itself to cover rounding.
 _ROUNDING_ALLOWANCE = 10
+_EPS = np.finfo(float).eps
 
 DECIDED_BY_CERTIFICATE = "certificate"
 DECIDED_BY_SVD = "svd"
@@ -161,9 +163,13 @@ def build_consistency_matrix(a: AmplitudeTensor) -> ConsistencyMatrix:
     return ConsistencyMatrix(shape, k_mat)
 
 
-def _identity_pattern(shape: TripartiteShape) -> np.ndarray:
-    """1 at every diagonal unknown e(l,l) and f(r,r), 0 elsewhere."""
-    return np.concatenate([np.eye(shape.P), np.eye(shape.N)], axis=None).astype(complex)
+def _identity_pattern(shape: TripartiteShape, value: float = 1.0) -> np.ndarray:
+    """``value`` at every diagonal unknown e(l,l) and f(r,r), 0 elsewhere."""
+    p, n = shape.P, shape.N
+    v = np.zeros(p * p + n * n, dtype=complex)
+    v[:p * p:p + 1] = value
+    v[p * p::n + 1] = value
+    return v
 
 
 def identity_pattern_vector(shape: TripartiteShape) -> np.ndarray:
@@ -172,7 +178,7 @@ def identity_pattern_vector(shape: TripartiteShape) -> np.ndarray:
     It lies in the kernel of every consistency matrix because the two sums
     in each row then both reduce to the same amplitude.
     """
-    return _identity_pattern(shape) / np.sqrt(shape.N + shape.P)
+    return _identity_pattern(shape, 1 / math.sqrt(shape.N + shape.P))
 
 
 def _rotated_blocks(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -221,6 +227,32 @@ def _prefix_rows(m: int, n: int, p: int) -> int:
     return min(need, m)
 
 
+def _inverse_iteration(r_s: np.ndarray, size: int, sigma_max: float) -> np.ndarray:
+    """An approximate kernel vector of the upper-triangular ``r_s``, whose
+    largest singular value is ``sigma_max``, by one step of inverse
+    iteration (Ipsen, "Computing an eigenvector with inverse iteration",
+    SIAM Review 39, 1997).
+
+    ``r_s`` is padded with zero rows to ``size x size`` and every diagonal
+    entry of magnitude below ``floor = eps * sigma_max`` is raised to
+    ``floor``, so that no pivot is zero; one solve against ``floor`` times
+    the last unit vector gives the vector. Where the kernel vector's last
+    entry is nonzero, as the identity pattern's is, the last pivot is the
+    small one: the solve is back substitution through the leading rows, and
+    the vector's last entry is 1 when that pivot was raised. The vector is
+    not normalized, and nothing here needs to be exact:
+    :func:`_kernel_certificate` checks the vector it lifts on all of K.
+    """
+    tri = np.zeros((size, size), dtype=complex)
+    tri[:r_s.shape[0]] = r_s
+    diag = tri.reshape(-1)[::size + 1]
+    floor = _EPS * sigma_max
+    diag[np.abs(diag) < floor] = floor
+    last = np.zeros(size)
+    last[-1] = floor
+    return np.linalg.solve(tri, last)
+
+
 def _kernel_certificate(amps: np.ndarray, rank_rtol: float):
     """Prove from a prefix of party A that K's kernel is a line.
 
@@ -242,38 +274,43 @@ def _kernel_certificate(amps: np.ndarray, rank_rtol: float):
     ``rank_rtol * ||K||_F >= rank_rtol * sigma_max(K)``, so K has at least
     n - 1 singular values above the rank cut.
 
-    The last right singular vector of ``R_S`` is lifted to x through
-    ``R1``, and ``||K x||`` is evaluated on all of K from the amplitudes. It
-    must be at most ``rank_rtol * ||K||_F / sqrt(n) * ||x||``; since
-    ``sigma_max(K) >= ||K||_F / sqrt(n)``, K's smallest singular value then
-    lies at or below the cut. So K's numerical kernel is a line, and x lies
-    within an angle ``asin(||K x|| / (bound * ||x||))`` of it.
+    The bound reads only singular values, so ``R_S``'s SVD computes no
+    vectors. Its kernel vector f comes from one triangular solve, a step of
+    inverse iteration (:func:`_inverse_iteration`), and is lifted to x
+    through ``R1``; then ``||K x||`` is evaluated on all of K from the
+    amplitudes. It must be at most ``rank_rtol * ||K||_F / sqrt(n) *
+    ||x||``; since ``sigma_max(K) >= ||K||_F / sqrt(n)``, K's smallest
+    singular value then lies at or below the cut. So K's numerical kernel
+    is a line, and x lies within an angle ``asin(||K x|| / (bound *
+    ||x||))`` of it. That argument uses only the bound and the residual of
+    x, not how x was found: a solve that misses the kernel gives a large
+    residual and a refused proof, never a wrong one.
     """
     m, n, p = amps.shape
     m_pre = _prefix_rows(m, n, p)
     if m_pre * n < p or (m_pre * n - p) * p < n * n - 1:
         return None
     n_cols = p * p + n * n
-    k_norm = np.sqrt(n + p) * np.linalg.norm(amps)
-    slack = _ROUNDING_ALLOWANCE * m_pre * n * p * n_cols * np.finfo(float).eps * k_norm
+    k_norm = math.sqrt(n + p) * np.linalg.norm(amps)
+    slack = _ROUNDING_ALLOWANCE * m_pre * n * p * n_cols * _EPS * k_norm
     r1, h = _rotated_blocks(amps[:m_pre])
     sigma_r1 = np.linalg.svd(r1[:p], compute_uv=False)[-1] - slack
     if sigma_r1 <= 0:
         return None
     r_s = np.linalg.qr(h[p * p:], mode="r")
-    _, s, vh = np.linalg.svd(r_s, full_matrices=r_s.shape[0] < r_s.shape[1])
+    s = np.linalg.svd(r_s, compute_uv=False)
     h_norm = np.linalg.norm(h[:p * p]) + slack
     bound = min(sigma_r1, s[n * n - 2] - slack) / (1 + h_norm / sigma_r1)
     if not bound > rank_rtol * k_norm:
         return None
-    f = vh[-1].conj()
+    f = _inverse_iteration(r_s, n * n, s[0])
     # Top rows of block k: R1 e(., k) = H_k[:P] f.
     e = np.linalg.solve(r1[:p], (h[:p * p] @ f).reshape(p, p))
     rows = (np.einsum("ijl,lk->ijk", amps, e)
             - np.einsum("irk,rj->ijk", amps, f.reshape(n, n)))
     x = np.concatenate([e.reshape(-1), f])
     x_norm = np.linalg.norm(x)
-    if not np.linalg.norm(rows) <= rank_rtol * k_norm / np.sqrt(n_cols) * x_norm:
+    if not np.linalg.norm(rows) <= rank_rtol * k_norm / math.sqrt(n_cols) * x_norm:
         return None
     return x / x_norm, float(bound / k_norm)
 
@@ -296,8 +333,13 @@ def check_linear_uniqueness(a: AmplitudeTensor,
     so a lower bound on the prefix's second-smallest singular value,
     ``min(sigma_min(R1), sigma_{N^2-1}(R_S)) / (1 + ||H_top|| /
     sigma_min(R1))`` from its block R factor, holds for all of K; it must
-    clear ``rank_rtol * ||K||_F``, and the lifted kernel vector must solve
-    all of K. Then ``decided_by`` is ``"certificate"`` and
+    clear ``rank_rtol * ||K||_F``. The bound takes singular values only;
+    the kernel vector comes from one triangular solve with ``R_S``, its
+    small pivots raised to ``eps * sigma_max(R_S)`` (inverse iteration),
+    lifted through ``R1``, and must solve all of K. That residual check is
+    what makes the verdict a proof: x then lies within ``asin(||K x|| /
+    (bound * ||x||))`` of K's kernel line however x was found. Then
+    ``decided_by`` is ``"certificate"`` and
     ``certificate_gap`` is that bound over ``||K||_F``. Otherwise the rank
     and kernel are read off an R factor of K built block by block from the
     amplitudes (Chan's R-SVD; a matrix and its R factor share singular

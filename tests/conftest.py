@@ -21,7 +21,7 @@ from qmarginal.claims import ghz_state  # noqa: F401  (re-exported for the tests
 from qmarginal.tensor import (DensityMatrix, _unit_basis, _validate_subset,
                               partial_trace_matrix, rank_and_nullspace)
 from qmarginal.uniqueness import (DEFAULT_RANK_RTOL, EliminationStep, RankDeficientBlockError,
-                                  TripartiteShape)
+                                  TripartiteShape, build_consistency_matrix)
 
 settings.register_profile("qmarginal", deadline=None, derandomize=True, database=None)
 settings.load_profile("qmarginal")
@@ -246,6 +246,44 @@ def kron_all(mats):
 @pytest.fixture
 def np_rng():
     return np.random.default_rng(20260808)
+
+
+class LinalgCalls:
+    """Records the calls of chosen ``np.linalg`` functions, in order, as
+    ``(name, trailing shape, compute_uv)``: the last two axes of the first
+    argument (one axis for a vector), and ``compute_uv`` where the call
+    passes it, else None."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        self._monkeypatch = monkeypatch
+
+    def record(self, *names: str) -> "LinalgCalls":
+        for name in names:
+            def recorded(x, *args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+                self.calls.append((_name, np.shape(x)[-2:], kwargs.get("compute_uv")))
+                return _real(x, *args, **kwargs)
+            self._monkeypatch.setattr(np.linalg, name, recorded)
+        return self
+
+    def count(self, name: str, since: int = 0) -> int:
+        """Calls of ``name`` from the ``since``-th recorded call on."""
+        return sum(call[0] == name for call in self.calls[since:])
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """A :class:`LinalgCalls`; ``linalg_calls.record(*names)`` starts it."""
+    return LinalgCalls(monkeypatch)
+
+
+def dense_kernel(state) -> np.ndarray:
+    """Orthonormal basis of the kernel of the dense consistency matrix K,
+    from one SVD of K at the linear test's rank cut: the reference that the
+    R-factor and certificate paths are held to."""
+    _, kernel = rank_and_nullspace(build_consistency_matrix(state).matrix,
+                                   rtol=DEFAULT_RANK_RTOL)
+    return kernel
 
 
 def reference_elimination_steps(amps: np.ndarray):

@@ -245,6 +245,24 @@ class TestWitnessFactors:
                 assert np.abs(partial_trace_matrix(w, dims, keep)
                               - partial_trace_matrix(rho, dims, keep)).max() <= 1e-9
 
+    def test_rounding_does_not_flip_the_ghz3_factor(self):
+        # The GHZ3 witness of `check --subsets 01,02,12 --seed 3`: entries 0
+        # and 7 of its factor tie in magnitude. Rounding-level changes of W,
+        # including ones that hand the larger magnitude to entry 7, leave
+        # the reported factor where it was, with entry 0 real and positive.
+        verdict = uniqueness_probe(ghz_state(3), [[0, 1], [0, 2], [1, 2]], rng=SeededRng(3))
+        w = verdict.witnesses[1].matrix
+        base = cli._witness_factor(w)
+        assert base.shape == (8, 1) and base[0, 0].imag == 0 and base[0, 0].real > 0.7
+        assert abs(abs(base[0, 0]) - abs(base[7, 0])) <= 1e-12
+        rng = np.random.default_rng(28)
+        for scale in (0.999999999999998, 1.000000000000002):
+            g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+            v = base[:, 0].copy()
+            v[7] *= scale
+            moved = np.outer(v, v.conj()) + 1e-16 * (g + g.conj().T)
+            assert np.abs(cli._witness_factor(moved) - base).max() <= 1e-13
+
     def test_mixed_witness_keeps_the_eigenvalues_above_the_cut(self):
         # Every witness the probe has returned so far is pure; a rank-2 W
         # checks the sqrt(lambda) scaling and the relative cut.

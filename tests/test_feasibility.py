@@ -712,7 +712,8 @@ class TestRowsFree:
 
 
 class TestOnePass:
-    def test_certified_probe_checks_and_decomposes_each_marginal_once(self, monkeypatch):
+    def test_certified_probe_checks_and_decomposes_each_marginal_once(self, monkeypatch,
+                                                                      linalg_calls):
         state = haar((2,) * 5, 75)
         uniqueness_probe(state, TRIPLES5, rng=SeededRng(1))        # warm the layout
         calls = {}
@@ -728,37 +729,34 @@ class TestOnePass:
         count(tensor, "_validate_subset")
         count(feasibility, "_validate_subset")
         count(DensityMatrix, "__post_init__")
-        count(np.linalg, "eigh")
-        count(np.linalg, "eigvalsh")
+        linalg_calls.record("eigh", "eigvalsh")
         verdict = uniqueness_probe(state, TRIPLES5, rng=SeededRng(1))
         assert verdict.decided_by == "certificate"
         # One validation per key, no validating constructor (rho is formed
         # from the checked state), one eigh each for the marginal stack, the
         # support sum and the PSD step of the cross-check, and one eigvalsh,
         # for the run's distance.
-        assert calls == {"_validate_subset": len(TRIPLES5), "eigh": 3, "eigvalsh": 1}
+        assert calls == {"_validate_subset": len(TRIPLES5)}
+        assert (linalg_calls.count("eigh"), linalg_calls.count("eigvalsh")) == (3, 1)
 
-    def test_witness_path_decomposes_and_evaluates_each_point_once(self, monkeypatch):
-        calls = {"eigh": 0, "eigvalsh": 0, "lstsq": 0, "faces": 0}
-        for name in ("eigh", "eigvalsh", "lstsq"):
-            def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
-                calls[_name] += 1
-                return _real(*args, **kwargs)
-            monkeypatch.setattr(np.linalg, name, counted)
+    def test_witness_path_decomposes_and_evaluates_each_point_once(self, monkeypatch,
+                                                                   linalg_calls):
+        linalg_calls.record("eigh", "eigvalsh", "lstsq")
+        faces = []
         per_certify = []
 
         def certify(candidate, op, _real=feasibility._certify):
-            before = dict(calls)
+            before = len(linalg_calls.calls)
             out = _real(candidate, op)
-            per_certify.append((calls["eigh"] - before["eigh"],
-                                calls["eigvalsh"] - before["eigvalsh"]))
+            per_certify.append((linalg_calls.count("eigh", before),
+                                linalg_calls.count("eigvalsh", before)))
             return out
 
         face_op = feasibility._FaceOperator
         points, stacks = [], []
 
         def init(self, *args, _real=face_op.__init__):
-            calls["faces"] += 1
+            faces.append(self)
             _real(self, *args)
 
         def weighted_residual(self, e_mat, _real=face_op.weighted_residual):
@@ -780,7 +778,7 @@ class TestOnePass:
         # operator, whose one weighted stack each of the 22 Gauss-Newton
         # steps reads; 37 points evaluated, none of them twice.
         assert per_certify == [(1, 0)] * 8
-        assert calls["faces"] == 1 and calls["lstsq"] == len(stacks) == 22
+        assert len(faces) == 1 and linalg_calls.count("lstsq") == len(stacks) == 22
         assert all(stack is stacks[0] for stack in stacks)
         assert len(points) == len(set(points)) == 37
 
@@ -853,10 +851,10 @@ class TestFaceMeasures:
     @pytest.mark.parametrize("state, subsets, leaks", FACE_CASES.values(), ids=FACE_CASES)
     def test_distances_equal_the_lifted_trace_distance(self, monkeypatch, state, subsets,
                                                        leaks):
-        # Every distance the probe measures (runs, witnesses, the pursued
-        # point) is taken in span(V, psi); each must equal the T x T trace
-        # distance of the lifted matrix from rho.
-        faces, measured = [], []
+        # Every distance the probe measures (runs, witnesses, the pursuit's
+        # candidates) is taken in span(V, psi); each must equal the T x T
+        # trace distance of the lifted matrix from rho.
+        faces, measured, pursuit = [], [], []
         real_face, real_distances = feasibility._face_certificate, feasibility._distances
 
         def face_certificate(*args):
@@ -869,8 +867,15 @@ class TestFaceMeasures:
             measured.append((x.copy(), out))
             return out
 
+        def pursue_far(*args, _real=feasibility._pursue_far):
+            start = len(measured)
+            out = _real(*args)
+            pursuit.append((start, len(measured)))
+            return out
+
         monkeypatch.setattr(feasibility, "_face_certificate", face_certificate)
         monkeypatch.setattr(feasibility, "_distances", distances)
+        monkeypatch.setattr(feasibility, "_pursue_far", pursue_far)
         verdict = uniqueness_probe(state, subsets, rng=SeededRng(1))
         assert verdict.verdict == NON_UNIQUE and verdict.face_dim == 2
         [face] = faces
@@ -878,28 +883,29 @@ class TestFaceMeasures:
         outside = np.linalg.norm(state.vector() - face @ (face.conj().T @ state.vector()))
         assert (outside > 1e-8) == leaks
         assert [r.distance for r in verdict.runs] == list(measured[0][1])
-        missed = 0.0
-        for stack, got in measured:
+        [(lo, hi)] = pursuit
+        assert hi > lo
+        missed = np.zeros(len(measured))
+        for i, (stack, got) in enumerate(measured):
             for x, d in zip(stack, got):
                 assert abs(d - trace_distance(face @ x @ face.conj().T, rho)) <= 1e-12
-                missed = max(missed, abs(d - trace_distance(x, face.conj().T @ rho @ face)))
+                missed[i] = max(missed[i],
+                                abs(d - trace_distance(x, face.conj().T @ rho @ face)))
         assert abs(verdict.pairwise_distances[0] -
                    trace_distance(verdict.witnesses[1].matrix, rho)) <= 1e-12
         # Off the face, the bare k x k difference against V^+ rho V misses
-        # the weight of psi outside K.
-        assert (missed > 1e-12) == leaks
+        # the weight of psi outside K, in the probe's measurements and in the
+        # pursuit's alike.
+        assert (missed.max() > 1e-12) == leaks
+        assert (missed[lo:hi].max() > 1e-12) == leaks
 
     def test_seven_qubit_ghz_ring_decomposes_no_whole_space_matrix_but_the_support_sum(
-            self, monkeypatch):
+            self, monkeypatch, linalg_calls):
         n, t = 7, 2 ** 7
         ring = [(i, (i + 1) % n) for i in range(n)]
         uniqueness_probe(ghz_state(n), ring, rng=SeededRng(1))      # warm the layout
-        decompositions, transforms = [], []
-        for name in ("eigh", "eigvalsh"):
-            def counted(x, *args, _real=getattr(np.linalg, name), _name=name, **kwargs):
-                decompositions.append((_name, np.shape(x)[-1]))
-                return _real(x, *args, **kwargs)
-            monkeypatch.setattr(np.linalg, name, counted)
+        linalg_calls.record("eigh", "eigvalsh")
+        transforms = []
         built = []
         for name in ("_product_coefficients", "_product_combination"):
             def transform(*args, _real=getattr(feasibility, name), _name=name):
@@ -917,7 +923,7 @@ class TestFaceMeasures:
         assert verdict.verdict == NON_UNIQUE and verdict.face_dim == 2
         # The support sum's eigh is the only T x T decomposition, and once
         # the face operator is built no product-operator transform runs.
-        assert [call for call in decompositions if call[1] == t] == [("eigh", t)]
+        assert [call[:2] for call in linalg_calls.calls if call[1][-1] == t] == [("eigh", (t, t))]
         assert len(built) == 1 and transforms == []
 
 

@@ -19,7 +19,7 @@ from qmarginal.uniqueness import (
 )
 
 import conftest
-from conftest import (column_of, ghz_state, haar_unitary, party_split,
+from conftest import (column_of, dense_kernel, ghz_state, haar_unitary, party_split,
                       reference_elimination_steps)
 
 
@@ -277,6 +277,57 @@ class TestKernelCertificate:
     ])
     def test_prefix_rows_from_shape(self, shape, rows):
         assert uniqueness._prefix_rows(*shape) == rows
+
+
+# The paper's (m+1, m, m) groupings of 3m+1 parties, d = 2, m = 1..4 and
+# d = 3, m = 1..3, then a wide R_S (24 x 25) and a prefix of 5 rows. The
+# certificate decides every one of them.
+CERTIFIED_SHAPES = [(4, 2, 2), (8, 4, 4), (16, 8, 8), (32, 16, 16), (9, 3, 3), (27, 9, 9),
+                    (81, 27, 27), (5, 5, 24), (9, 2, 8)]
+
+
+class TestCertificateKernel:
+    """The certificate reads R_S's singular values without vectors and
+    finds its kernel vector by one triangular solve."""
+
+    @pytest.mark.parametrize("shape", CERTIFIED_SHAPES)
+    def test_kernel_matches_the_dense_kernel(self, shape):
+        state = haar(shape, 3)
+        verdict = check_linear_uniqueness(state)
+        assert verdict.decided_by == "certificate" and verdict.verdict == UNIQUE_LINEAR
+        if shape == (81, 27, 27):
+            # Its dense K would take 1.4 GB; a generic state's kernel is the
+            # identity-pattern line exactly.
+            reference = identity_pattern_vector(TripartiteShape(*shape))[:, None]
+        else:
+            reference = dense_kernel(state)
+        assert reference.shape[1] == 1
+        assert abs(np.vdot(reference[:, 0], verdict.kernel[:, 0])) >= 1 - 1e-12
+
+    @pytest.mark.parametrize("shape", [(4, 2, 2), (27, 9, 9), (5, 5, 24)])
+    def test_no_singular_vectors(self, shape, linalg_calls):
+        linalg_calls.record("svd", "solve")
+        verdict = check_linear_uniqueness(haar(shape, 4))
+        assert verdict.decided_by == "certificate"
+        svds = [call for call in linalg_calls.calls if call[0] == "svd"]
+        # sigma_min(R1) and R_S's values, then the kernel's solve and the lift.
+        assert len(svds) == 2 and all(call[2] is False for call in svds)
+        assert linalg_calls.count("solve") == 2
+
+    @pytest.mark.parametrize("size, rows, zero", [(9, 9, 8), (9, 9, 4), (16, 15, None),
+                                                  (25, 24, 0)])
+    def test_zero_pivot_gives_a_kernel_vector(self, size, rows, zero):
+        # An upper-triangular R_S with an exactly zero diagonal entry, or
+        # wide (rows < size), whose padded row is a zero pivot.
+        rng = np.random.default_rng(size + rows)
+        r_s = np.triu(rng.standard_normal((rows, size)) + 1j * rng.standard_normal((rows, size)))
+        if zero is not None:
+            r_s[zero, zero] = 0
+        s = np.linalg.svd(r_s, compute_uv=False)
+        f = uniqueness._inverse_iteration(r_s, size, s[0])
+        assert f.shape == (size,) and np.all(np.isfinite(f))
+        f = f / np.linalg.norm(f)
+        assert np.linalg.norm(r_s @ f) <= size * np.finfo(float).eps * s[0]
 
 
 class TestLocalUnitaryInvariance:
