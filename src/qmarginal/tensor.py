@@ -90,11 +90,6 @@ class PartySignature:
     def total_dim(self) -> int:
         return math.prod(self.dims)
 
-    def subsystem(self, keep: Sequence[int]) -> "PartySignature":
-        """Signature of the sub-list of parties in ``keep`` (original order)."""
-        keep = _validate_subset(keep, self.n_parties)
-        return PartySignature(self.dims[p] for p in keep)
-
     def is_uniform(self) -> bool:
         return len(set(self.dims)) == 1
 

@@ -50,6 +50,9 @@ _PREFIX_FLOOR = 3
 # Multiple of rows * cols * eps * ||K||_F by which the certificate moves
 # each computed singular value and norm against itself to cover rounding.
 _ROUNDING_ALLOWANCE = 10
+# Fraction of the RMS singular value of R_S at which the certificate first
+# tries to bound R_S's second-smallest singular value from below.
+_TAU_FRACTION = 0.125
 _EPS = np.finfo(float).eps
 
 DECIDED_BY_CERTIFICATE = "certificate"
@@ -110,9 +113,9 @@ class UniquenessVerdict:
 
     ``decided_by`` names the path that read the kernel: ``"certificate"``
     (the prefix bound of :func:`check_linear_uniqueness`) or ``"svd"`` (the
-    SVD of K's R factor). ``certificate_gap`` is the certificate's lower
-    bound on K's second-smallest singular value over ``||K||_F``, None when
-    the SVD decided.
+    SVD of K's R factor). ``certificate_gap`` is the certificate's proven
+    lower bound on K's second-smallest singular value over ``||K||_F``, None
+    when the SVD decided.
     """
 
     null_dim: int
@@ -227,38 +230,13 @@ def _prefix_rows(m: int, n: int, p: int) -> int:
     return min(need, m)
 
 
-def _inverse_iteration(r_s: np.ndarray, size: int, sigma_max: float) -> np.ndarray:
-    """An approximate kernel vector of the upper-triangular ``r_s``, whose
-    largest singular value is ``sigma_max``, by one step of inverse
-    iteration (Ipsen, "Computing an eigenvector with inverse iteration",
-    SIAM Review 39, 1997).
-
-    ``r_s`` is padded with zero rows to ``size x size`` and every diagonal
-    entry of magnitude below ``floor = eps * sigma_max`` is raised to
-    ``floor``, so that no pivot is zero; one solve against ``floor`` times
-    the last unit vector gives the vector. Where the kernel vector's last
-    entry is nonzero, as the identity pattern's is, the last pivot is the
-    small one: the solve is back substitution through the leading rows, and
-    the vector's last entry is 1 when that pivot was raised. The vector is
-    not normalized, and nothing here needs to be exact:
-    :func:`_kernel_certificate` checks the vector it lifts on all of K.
-    """
-    tri = np.zeros((size, size), dtype=complex)
-    tri[:r_s.shape[0]] = r_s
-    diag = tri.reshape(-1)[::size + 1]
-    floor = _EPS * sigma_max
-    diag[np.abs(diag) < floor] = floor
-    last = np.zeros(size)
-    last[-1] = floor
-    return np.linalg.solve(tri, last)
-
-
-def _kernel_certificate(amps: np.ndarray, rank_rtol: float):
+def _kernel_certificate(amps: np.ndarray, rank_rtol: float) -> float | None:
     """Prove from a prefix of party A that K's kernel is a line.
 
-    Returns ``(x, gap)`` with x a unit kernel vector in K's column order and
-    gap the proven lower bound on K's second-smallest singular value over
-    ``||K||_F``, or None when the proof is refused.
+    Returns the proven lower bound on K's second-smallest singular value
+    over ``||K||_F``, or None when the proof is refused. No kernel vector is
+    computed: K annihilates the identity pattern exactly, so once K's
+    numerical kernel is proven at most a line, it is that pattern's line.
 
     ``K_pre``, the K of ``a[:M']``, is K with rows deleted, so
     ``sigma_{n-1}(K) >= sigma_{n-1}(K_pre)``. Its R factor is
@@ -268,23 +246,34 @@ def _kernel_certificate(amps: np.ndarray, rank_rtol: float):
     (1 + ||H_top|| / sigma_min(R1))``. Householder QR and the SVD are
     backward stable, with an error below a small multiple of
     rows * cols * eps * ||K||_F (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, Thm 19.4), so each computed singular value is
-    first lowered, and ``||H_top||``, bounded by its Frobenius norm, raised
-    by ``_ROUNDING_ALLOWANCE`` times that. The bound must exceed
-    ``rank_rtol * ||K||_F >= rank_rtol * sigma_max(K)``, so K has at least
-    n - 1 singular values above the rank cut.
+    Numerical Algorithms*, Thm 19.4), so ``sigma_min(R1)`` and the proven
+    tau are lowered, and ``||H_top||``, bounded by its Frobenius norm,
+    raised, by ``slack``, ``_ROUNDING_ALLOWANCE`` times that. The bound must
+    exceed the cut ``rank_rtol * ||K||_F >= rank_rtol * sigma_max(K)``, so K
+    has at least n - 1 singular values above it; a cut within ``slack`` is
+    refused, as rounding would decide its side.
 
-    The bound reads only singular values, so ``R_S``'s SVD computes no
-    vectors. Its kernel vector f comes from one triangular solve, a step of
-    inverse iteration (:func:`_inverse_iteration`), and is lifted to x
-    through ``R1``; then ``||K x||`` is evaluated on all of K from the
-    amplitudes. It must be at most ``rank_rtol * ||K||_F / sqrt(n) *
-    ||x||``; since ``sigma_max(K) >= ||K||_F / sqrt(n)``, K's smallest
-    singular value then lies at or below the cut. So K's numerical kernel
-    is a line, and x lies within an angle ``asin(||K x|| / (bound *
-    ||x||))`` of it. That argument uses only the bound and the residual of
-    x, not how x was found: a solve that misses the kernel gives a large
-    residual and a refused proof, never a wrong one.
+    ``sigma_{N^2-1}(R_S) > tau`` is proven without forming ``R_S``. With the
+    Gram ``G = H_S^H H_S`` of the rows below ``R1``, ``f = vec(I_N)`` and
+    ``c = tr(G) / N``, Cauchy interlacing gives ``lambda_1(G + c f f^H) <=
+    lambda_2(G) = sigma_{N^2-1}(R_S)^2``, so a Cholesky of
+    ``G + c f f^H - (tau^2 + delta) I`` that runs to completion proves it.
+    delta is twice the sum of three rounding bounds, in which ``gamma_k =
+    k u / (1 - k u) <= k eps``, ``u = eps / 2``, becomes ``sqrt(2)
+    gamma_{k+2}`` in complex arithmetic (Higham §3.6); doubling covers the
+    second-order terms and the rounding of ``tr(G)``:
+
+    - forming G from the r rows of ``H_S``: ``sqrt(2) gamma_{r+2} tr(G)``,
+      since ``|dG| <= sqrt(2) gamma_{r+2} |H_S|^H |H_S|`` (Higham (3.13));
+    - adding ``c f f^H`` and the shift: ``gamma_2 (2 tr(G) + tau^2)``;
+    - the Cholesky: one that runs to completion factors the matrix plus a
+      perturbation of norm ``sqrt(2) gamma_{N^2+3} ||R||_F^2 <= 2 sqrt(2)
+      gamma_{N^2+3} tr(G)`` (Higham Thm 10.5; Rump, "Verification of
+      positive definiteness", BIT 46, 2006).
+
+    tau is tried at most twice, with no bisection: at ``_TAU_FRACTION`` of
+    G's RMS singular value ``sqrt(tr(G) / N^2)``, then at twice ``tau_cut``,
+    where the bound would meet the cut.
     """
     m, n, p = amps.shape
     m_pre = _prefix_rows(m, n, p)
@@ -293,26 +282,35 @@ def _kernel_certificate(amps: np.ndarray, rank_rtol: float):
     n_cols = p * p + n * n
     k_norm = math.sqrt(n + p) * np.linalg.norm(amps)
     slack = _ROUNDING_ALLOWANCE * m_pre * n * p * n_cols * _EPS * k_norm
+    cut = rank_rtol * k_norm
+    if cut <= slack:
+        return None
     r1, h = _rotated_blocks(amps[:m_pre])
     sigma_r1 = np.linalg.svd(r1[:p], compute_uv=False)[-1] - slack
     if sigma_r1 <= 0:
         return None
-    r_s = np.linalg.qr(h[p * p:], mode="r")
-    s = np.linalg.svd(r_s, compute_uv=False)
-    h_norm = np.linalg.norm(h[:p * p]) + slack
-    bound = min(sigma_r1, s[n * n - 2] - slack) / (1 + h_norm / sigma_r1)
-    if not bound > rank_rtol * k_norm:
+    lift = 1 + (np.linalg.norm(h[:p * p]) + slack) / sigma_r1
+    if sigma_r1 <= cut * lift:
         return None
-    f = _inverse_iteration(r_s, n * n, s[0])
-    # Top rows of block k: R1 e(., k) = H_k[:P] f.
-    e = np.linalg.solve(r1[:p], (h[:p * p] @ f).reshape(p, p))
-    rows = (np.einsum("ijl,lk->ijk", amps, e)
-            - np.einsum("irk,rj->ijk", amps, f.reshape(n, n)))
-    x = np.concatenate([e.reshape(-1), f])
-    x_norm = np.linalg.norm(x)
-    if not np.linalg.norm(rows) <= rank_rtol * k_norm / math.sqrt(n_cols) * x_norm:
-        return None
-    return x / x_norm, float(bound / k_norm)
+    h_s = h[p * p:]
+    gram = h_s.conj().T @ h_s
+    tr_g = gram.trace().real
+    ones = np.arange(n) * (n + 1)  # the entries f(r, r) of vec(I_N)
+    gram[ones[:, None], ones] += tr_g / n
+    # Half of delta, less its tau^2 term; each gamma_k is raised to k eps.
+    rounding = (math.sqrt(2) * (h_s.shape[0] + 2 * n * n + 8) + 4) * _EPS * tr_g
+    tau_cut = cut * lift + slack
+    for tau in (_TAU_FRACTION * math.sqrt(tr_g) / n, 2 * tau_cut):
+        if tau <= tau_cut:
+            continue
+        shifted = gram.copy()
+        shifted.flat[::n * n + 1] -= tau * tau + 2 * (rounding + 2 * _EPS * tau * tau)
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            continue
+        return float(min(sigma_r1, tau - slack) / lift / k_norm)
+    return None
 
 
 def check_linear_uniqueness(a: AmplitudeTensor,
@@ -327,50 +325,52 @@ def check_linear_uniqueness(a: AmplitudeTensor,
     target in their own right. A singular value counts as zero at or below
     ``rank_rtol * sigma_max(K)``.
 
-    K itself is never formed. First a certificate tries to prove from the
-    rows of a short prefix ``a[:M']`` of party A that K's kernel is a line
-    (:func:`_kernel_certificate`): deleting rows only lowers singular values,
-    so a lower bound on the prefix's second-smallest singular value,
-    ``min(sigma_min(R1), sigma_{N^2-1}(R_S)) / (1 + ||H_top|| /
-    sigma_min(R1))`` from its block R factor, holds for all of K; it must
-    clear ``rank_rtol * ||K||_F``. The bound takes singular values only;
-    the kernel vector comes from one triangular solve with ``R_S``, its
-    small pivots raised to ``eps * sigma_max(R_S)`` (inverse iteration),
-    lifted through ``R1``, and must solve all of K. That residual check is
-    what makes the verdict a proof: x then lies within ``asin(||K x|| /
-    (bound * ||x||))`` of K's kernel line however x was found. Then
-    ``decided_by`` is ``"certificate"`` and
-    ``certificate_gap`` is that bound over ``||K||_F``. Otherwise the rank
+    K itself is never formed. First :func:`_kernel_certificate` tries to
+    prove from a short prefix ``a[:M']`` of party A that K's kernel is a
+    line: deleting rows only lowers singular values, and the prefix's block R
+    factor bounds its second-smallest one by ``min(sigma_min(R1), tau) /
+    (1 + ||H_top|| / sigma_min(R1))``, which must clear ``rank_rtol *
+    ||K||_F``. One Cholesky of ``G + c f f^H - (tau^2 + delta) I``, ``G =
+    H_S^H H_S``, ``f = vec(I_N)``, ``c = tr(G) / N``, proves
+    ``sigma_{N^2-1}(R_S) > tau``, since Cauchy interlacing gives
+    ``lambda_1(G + c f f^H) <= lambda_2(G) = sigma_{N^2-1}(R_S)^2``; delta
+    bounds the rounding of G, of the update and of the Cholesky (Higham
+    (3.13) and Thm 10.5; Rump 2006). tau is tried at ``_TAU_FRACTION`` of
+    G's RMS singular value, then at twice the tau that meets the cut. The
+    kernel is then the identity pattern, with residual 0, since K
+    annihilates it exactly; ``decided_by`` is ``"certificate"`` and
+    ``certificate_gap`` is the bound over ``||K||_F``. Otherwise the rank
     and kernel are read off an R factor of K built block by block from the
     amplitudes (Chan's R-SVD; a matrix and its R factor share singular
     values and right singular vectors), ``decided_by`` is ``"svd"`` and
     ``certificate_gap`` is None. Either way the kernel is in K's column
     order.
 
-    Raises ValueError when the kernel comes back empty: K annihilates the
-    identity pattern exactly, so that only happens when ``rank_rtol`` lies
-    below the rounding floor of the singular values.
+    Raises ValueError unless ``0 < rank_rtol < 1``, and when the kernel
+    comes back empty: K annihilates the identity pattern exactly, so that
+    only happens when ``rank_rtol`` lies below the rounding floor of the
+    singular values.
     """
+    if not 0 < rank_rtol < 1:
+        raise ValueError(f"rank_rtol must lie in (0, 1), got {rank_rtol}")
     shape = _tripartite(a)
-    certificate = _kernel_certificate(a.amplitudes, rank_rtol)
-    if certificate is not None:
-        x, gap = certificate
-        null_basis, decided_by = x[:, None], DECIDED_BY_CERTIFICATE
-    else:
-        _, null_basis = rank_and_nullspace(_consistency_r_factor(a.amplitudes), rtol=rank_rtol)
-        gap, decided_by = None, DECIDED_BY_SVD
+    v_id = identity_pattern_vector(shape)
+    gap = _kernel_certificate(a.amplitudes, rank_rtol)
+    if gap is not None:
+        return UniquenessVerdict(1, True, 0.0, UNIQUE_LINEAR, v_id[:, None],
+                                 DECIDED_BY_CERTIFICATE, gap)
+    _, null_basis = rank_and_nullspace(_consistency_r_factor(a.amplitudes), rtol=rank_rtol)
     null_dim = null_basis.shape[1]
     if null_dim == 0:
         raise ValueError(
             f"rank_rtol={rank_rtol:g} is below the rounding floor: the kernel came "
             "back empty, but the identity pattern solves the consistency system exactly")
-    v_id = identity_pattern_vector(shape)
     # Distance from the identity pattern to its projection on the kernel.
     proj = null_basis @ (null_basis.conj().T @ v_id)
     residual = float(np.linalg.norm(v_id - proj))
     match = null_dim == 1 and residual < _PATTERN_TOL
     verdict = UNIQUE_LINEAR if match else DEGENERATE
-    return UniquenessVerdict(null_dim, match, residual, verdict, null_basis, decided_by, gap)
+    return UniquenessVerdict(null_dim, match, residual, verdict, null_basis)
 
 
 class RankDeficientBlockError(Exception):

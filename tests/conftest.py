@@ -18,7 +18,7 @@ import pytest
 from hypothesis import settings
 
 from qmarginal.claims import ghz_state  # noqa: F401  (re-exported for the tests)
-from qmarginal.tensor import (DensityMatrix, _unit_basis, _validate_subset,
+from qmarginal.tensor import (DensityMatrix, PartySignature, _unit_basis, _validate_subset,
                               partial_trace_matrix, rank_and_nullspace)
 from qmarginal.uniqueness import (DEFAULT_RANK_RTOL, EliminationStep, RankDeficientBlockError,
                                   TripartiteShape, build_consistency_matrix)
@@ -85,10 +85,15 @@ def slow_partial_trace(mat: np.ndarray, dims, keep) -> np.ndarray:
     return out
 
 
+def subsystem(signature: PartySignature, keep) -> PartySignature:
+    """Signature of the sub-list of parties in ``keep`` (original order)."""
+    return PartySignature(signature.dims[p] for p in _validate_subset(keep, signature.n_parties))
+
+
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Reduced density matrix on the parties in ``keep``."""
     reduced = partial_trace_matrix(rho.matrix, rho.dims, keep)
-    return DensityMatrix(rho.signature.subsystem(keep), reduced)
+    return DensityMatrix(subsystem(rho.signature, keep), reduced)
 
 
 def purity(rho: DensityMatrix) -> float:
@@ -250,9 +255,9 @@ def np_rng():
 
 class LinalgCalls:
     """Records the calls of chosen ``np.linalg`` functions, in order, as
-    ``(name, trailing shape, compute_uv)``: the last two axes of the first
-    argument (one axis for a vector), and ``compute_uv`` where the call
-    passes it, else None."""
+    ``(name, trailing shape, keywords)``: the last two axes of the first
+    argument (one axis for a vector), and the keyword arguments the call
+    passes, as a dict."""
 
     def __init__(self, monkeypatch):
         self.calls = []
@@ -261,7 +266,7 @@ class LinalgCalls:
     def record(self, *names: str) -> "LinalgCalls":
         for name in names:
             def recorded(x, *args, _real=getattr(np.linalg, name), _name=name, **kwargs):
-                self.calls.append((_name, np.shape(x)[-2:], kwargs.get("compute_uv")))
+                self.calls.append((_name, np.shape(x)[-2:], kwargs))
                 return _real(x, *args, **kwargs)
             self._monkeypatch.setattr(np.linalg, name, recorded)
         return self

@@ -47,7 +47,7 @@ from qmarginal.uniqueness import UNIQUE_LINEAR, check_linear_uniqueness
 
 from conftest import (PAULI, DenseConstraintOperator, constraint_nullspace, ghz_state,
                       haar_unitary, hs_products, kron_all, random_density, random_hermitian,
-                      reference_constraint_fields, slow_partial_trace)
+                      reference_constraint_fields, slow_partial_trace, subsystem)
 
 PAIRS3 = [(0, 1), (0, 2), (1, 2)]
 PAIRS4 = list(itertools.combinations(range(4), 2))
@@ -166,7 +166,7 @@ class TestProjectAffine:
         sig = PartySignature([2, 2])
         targets = {s: slow_partial_trace(to_density(haar([2, 2], seed)).matrix, (2, 2), s)
                    for s, seed in pinned}
-        cs = MarginalConstraintSet(sig, [(s, DensityMatrix(sig.subsystem(s), m))
+        cs = MarginalConstraintSet(sig, [(s, DensityMatrix(subsystem(sig, s), m))
                                          for s, m in targets.items()])
 
         basis = []
@@ -529,7 +529,7 @@ def mixed_constraints(dims, subsets, seed):
     several subsets pin gets disagreeing values to average."""
     signature = PartySignature(dims)
     return MarginalConstraintSet(signature, [
-        (s, DensityMatrix(signature.subsystem(sorted(s)), partial_trace_matrix(
+        (s, DensityMatrix(subsystem(signature, sorted(s)), partial_trace_matrix(
             to_density(haar(dims, seed + i)).matrix, dims, sorted(s))))
         for i, s in enumerate(subsets)])
 

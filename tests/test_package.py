@@ -1,6 +1,7 @@
 import ast
 import importlib
 import inspect
+import sys
 import types
 
 import pytest
@@ -61,12 +62,27 @@ def test_package_exports_exactly_the_public_names():
     assert set(qmarginal.__all__) == PUBLIC_NAMES
 
 
+def absolute_imports(name: str) -> set[str]:
+    """Modules that ``qmarginal.<name>`` imports by absolute name, anywhere
+    in its source; relative imports are the package's own."""
+    tree = ast.parse(inspect.getsource(importlib.import_module(f"qmarginal.{name}")))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 0}
+    return imported
+
+
 @pytest.mark.parametrize("name", LIBRARY_MODULES + ["claims"])
 def test_library_module_reads_no_clock(name):
     # Wall time is measured by the CLI and the benchmark, never inside the
     # library, so every library result is byte-stable for a fixed seed.
-    tree = ast.parse(inspect.getsource(importlib.import_module(f"qmarginal.{name}")))
-    imported = {alias.name for node in ast.walk(tree)
-                if isinstance(node, ast.Import) for alias in node.names}
-    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
-    assert "time" not in imported
+    assert "time" not in absolute_imports(name)
+
+
+@pytest.mark.parametrize("name", LIBRARY_MODULES + ["claims", "cli"])
+def test_module_imports_only_the_stdlib_numpy_and_itself(name):
+    # numpy is the one declared dependency; scipy or mpmath may be
+    # installed alongside, but an import of either would break a clean install.
+    roots = {module.partition(".")[0] for module in absolute_imports(name)}
+    assert roots <= set(sys.stdlib_module_names) | {"numpy", "qmarginal"}, roots

@@ -25,7 +25,7 @@ from qmarginal.tensor import (
 from qmarginal.uniqueness import DEFAULT_RANK_RTOL, build_consistency_matrix
 
 from conftest import (PAULI, ghz_state, hs_products, kron_all, partial_trace, product_operators,
-                      purity, random_density, random_hermitian, slow_partial_trace)
+                      purity, random_density, random_hermitian, slow_partial_trace, subsystem)
 
 # Mean single-party purity of Haar 3-qubit states, computed by brute-force
 # Monte Carlo with an independent generator (RandomState Mersenne stream,
@@ -38,7 +38,7 @@ class TestPartySignature:
         sig = PartySignature([4, 2, 2])
         assert sig.total_dim == 16
         assert sig.n_parties == 3
-        assert sig.subsystem([0, 2]).dims == (4, 2)
+        assert subsystem(sig, [0, 2]).dims == (4, 2)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one party"):

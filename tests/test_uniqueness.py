@@ -220,10 +220,10 @@ class TestKernelCertificate:
         verdict = check_linear_uniqueness(haar(shape, 7))
         assert verdict.verdict == UNIQUE_LINEAR and verdict.null_dim == 1
         assert verdict.decided_by == "certificate" and verdict.certificate_gap > 1e-8
-        assert verdict.residual < 1e-14
+        assert verdict.residual == 0.0
 
     @pytest.mark.parametrize("shape", [(3, 2, 2), (4, 2, 2), (5, 3, 2), (9, 3, 3), (16, 8, 8),
-                                       (27, 9, 9)])
+                                       (27, 9, 9), (5, 5, 24), (9, 2, 8)])
     def test_gap_is_a_lower_bound_on_the_prefix(self, shape):
         # The bound holds for K_pre, the rows i < M' of K, and so for K.
         state = haar(shape, 8)
@@ -262,6 +262,15 @@ class TestKernelCertificate:
             (fallback.verdict, fallback.null_dim, fallback.residual)
         assert np.array_equal(verdict.kernel, fallback.kernel)
 
+    @pytest.mark.parametrize("rank_rtol", [float("nan"), float("inf"), -float("inf"), -1.0, 0.0,
+                                           1.0, 2.0])
+    def test_bad_rank_rtol_raises_before_the_certificate(self, rank_rtol, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("the certificate ran")
+        monkeypatch.setattr(uniqueness, "_kernel_certificate", refuse)
+        with pytest.raises(ValueError, match=r"rank_rtol must lie in \(0, 1\)"):
+            check_linear_uniqueness(haar((4, 2, 2), 2), rank_rtol=rank_rtol)
+
     @pytest.mark.parametrize("shape", [(4, 2, 2), (27, 9, 9)])
     def test_rank_rtol_below_rounding_floor_refuses(self, shape):
         state = haar(shape, 2)
@@ -287,8 +296,8 @@ CERTIFIED_SHAPES = [(4, 2, 2), (8, 4, 4), (16, 8, 8), (32, 16, 16), (9, 3, 3), (
 
 
 class TestCertificateKernel:
-    """The certificate reads R_S's singular values without vectors and
-    finds its kernel vector by one triangular solve."""
+    """The certificate proves K's kernel a line by one shifted Cholesky of
+    the deflated Gram of ``H_S``; the line is then the identity pattern."""
 
     @pytest.mark.parametrize("shape", CERTIFIED_SHAPES)
     def test_kernel_matches_the_dense_kernel(self, shape):
@@ -306,28 +315,51 @@ class TestCertificateKernel:
 
     @pytest.mark.parametrize("shape", [(4, 2, 2), (27, 9, 9), (5, 5, 24)])
     def test_no_singular_vectors(self, shape, linalg_calls):
-        linalg_calls.record("svd", "solve")
+        linalg_calls.record("qr", "svd", "cholesky", "solve")
         verdict = check_linear_uniqueness(haar(shape, 4))
         assert verdict.decided_by == "certificate"
-        svds = [call for call in linalg_calls.calls if call[0] == "svd"]
-        # sigma_min(R1) and R_S's values, then the kernel's solve and the lift.
-        assert len(svds) == 2 and all(call[2] is False for call in svds)
-        assert linalg_calls.count("solve") == 2
+        calls = [(name, keywords) for name, _, keywords in linalg_calls.calls]
+        # The prefix's complete QR and sigma_min(R1), then one or two tries of tau.
+        assert calls[:2] == [("qr", {"mode": "complete"}), ("svd", {"compute_uv": False})]
+        assert calls[2:] in ([("cholesky", {})], [("cholesky", {})] * 2)
 
-    @pytest.mark.parametrize("size, rows, zero", [(9, 9, 8), (9, 9, 4), (16, 15, None),
-                                                  (25, 24, 0)])
-    def test_zero_pivot_gives_a_kernel_vector(self, size, rows, zero):
-        # An upper-triangular R_S with an exactly zero diagonal entry, or
-        # wide (rows < size), whose padded row is a zero pivot.
-        rng = np.random.default_rng(size + rows)
-        r_s = np.triu(rng.standard_normal((rows, size)) + 1j * rng.standard_normal((rows, size)))
-        if zero is not None:
-            r_s[zero, zero] = 0
-        s = np.linalg.svd(r_s, compute_uv=False)
-        f = uniqueness._inverse_iteration(r_s, size, s[0])
-        assert f.shape == (size,) and np.all(np.isfinite(f))
-        f = f / np.linalg.norm(f)
-        assert np.linalg.norm(r_s @ f) <= size * np.finfo(float).eps * s[0]
+    @pytest.mark.parametrize("shape", [(4, 2, 2), (9, 3, 3), (9, 2, 8)])
+    def test_shifted_cholesky_is_tight(self, shape, monkeypatch):
+        # sigma_{N^2-1}(R_S) from the dense K: R_S is an R factor of the
+        # prefix's f columns projected off the span of its e columns.
+        state = haar(shape, 5)
+        _, n, p = shape
+        dense = build_consistency_matrix(state).matrix
+        pre = dense[:uniqueness._prefix_rows(*shape) * n * p]
+        q, _ = np.linalg.qr(pre[:, :p * p])
+        h_s = pre[:, p * p:] - q @ (q.conj().T @ pre[:, p * p:])
+        sigma = np.linalg.svd(h_s, compute_uv=False)[n * n - 2]
+        rms = np.linalg.norm(h_s) / n
+        s_pre = np.linalg.svd(pre, compute_uv=False)
+        outcomes = []
+
+        def recorded(x, _real=np.linalg.cholesky):
+            try:
+                factor = _real(x)
+            except np.linalg.LinAlgError:
+                outcomes.append(False)
+                raise
+            outcomes.append(True)
+            return factor
+
+        monkeypatch.setattr(np.linalg, "cholesky", recorded)
+        monkeypatch.setattr(uniqueness, "_TAU_FRACTION", 0.999 * sigma / rms)
+        assert check_linear_uniqueness(state).decided_by == "certificate"
+        assert outcomes == [True]
+        # tau just above sigma: the first try refuses, and the second, at
+        # twice the tau that meets the cut, decides with a gap that still
+        # bounds the prefix.
+        outcomes.clear()
+        monkeypatch.setattr(uniqueness, "_TAU_FRACTION", 1.001 * sigma / rms)
+        verdict = check_linear_uniqueness(state)
+        assert outcomes == [False, True]
+        assert verdict.decided_by == "certificate" and verdict.verdict == UNIQUE_LINEAR
+        assert verdict.certificate_gap * np.linalg.norm(dense) <= s_pre[-2]
 
 
 class TestLocalUnitaryInvariance:
